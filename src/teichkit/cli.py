@@ -273,7 +273,13 @@ def build_parser():
     v.add_argument("suite", choices=sorted(SUITES))
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--trials", type=int, default=None)
-    v.add_argument("--n", type=int, default=3, help="triangle rank for transport/amalgamation")
+    v.add_argument(
+        "--n",
+        type=int,
+        default=3,
+        help="triangle rank n >= 2 for transport/amalgamation; "
+        "each transport costs O(n^3) exact operations",
+    )
     v.set_defaults(func=_cmd_verify)
 
     r = sub.add_parser("render", help="render a scene JSON file to SVG")

@@ -293,10 +293,7 @@ class FatGraph:
             if isinstance(exc, SchemaError):
                 raise
             raise SchemaError(f"bad fatgraph document: {exc}") from exc
-        try:
-            return cls(vertices, edges, doc.get("genus"), doc.get("boundary"))
-        except MalformedGraph:
-            raise
+        return cls(vertices, edges, doc.get("genus"), doc.get("boundary"))
 
     def __repr__(self):
         return f"FatGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"

@@ -1,11 +1,14 @@
 """Small exact dense linear algebra.
 
 Matrices are tuples of row tuples.  The division-free operations (product,
-determinant by cofactor expansion, adjugate) work over any commutative ring
-element type: Fraction, float, complex, or LaurentPoly.  Rank, solving and
-subspace work require a field and are written for Fraction entries.
+determinant by cofactor expansion, adjugate, projective equality) work over
+any commutative ring element type: Fraction, float, complex, or LaurentPoly.
+Rank, solving and subspace work require a field and are written for Fraction
+entries.
 
-Everything here is sized for n <= 6; no attempt at asymptotic cleverness.
+Products cost O(n^3) and projective equality O(n^2), but det and adjugate
+expand cofactors and grow like n!; keep them to small matrices.  Transports
+never need them: snakes evaluates and inverts those from their words.
 """
 
 from fractions import Fraction
@@ -119,11 +122,25 @@ def is_scalar_matrix(a):
 
 
 def proj_eq(a, b):
-    """Projective equality: a == scalar * b with nonzero scalar."""
+    """Projective equality: a == scalar * b with nonzero scalar.
+
+    Division-free: against the first nonzero entry b[p][q], require
+    a[p][q] != 0 and a[i][j] * b[p][q] == b[i][j] * a[p][q] everywhere.  A
+    zero matrix is projectively equal to nothing, itself included.
+    """
     a, b = mat(a), mat(b)
     if len(a) != len(b) or len(a[0]) != len(b[0]) or len(a) != len(a[0]):
         return False
-    return is_scalar_matrix(mat_mul(a, adjugate(b))) is not None
+    pivot = next(
+        ((i, j) for i, row in enumerate(b) for j, x in enumerate(row) if x != 0),
+        None,
+    )
+    if pivot is None:
+        return False
+    bp, ap = b[pivot[0]][pivot[1]], a[pivot[0]][pivot[1]]
+    if ap == 0:
+        return False
+    return all(x * bp == y * ap for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 # -- Fraction-field routines ------------------------------------------------

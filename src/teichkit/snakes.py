@@ -13,6 +13,11 @@ factors H are stored without the determinant-fixing fractional powers, so
 results are exact over the rationals and equality of transports is scalar
 equality (linalg.proj_eq).  Bases are stacked as rows and matrices act by
 left multiplication throughout.
+
+A transport is never built as a product of dense factor matrices.  Its word
+is applied factor by factor to a running matrix as column operations, O(n)
+entries per factor and O(n^3) in all, and its adjugate (the inverse up to a
+scalar) comes from the reversed word the same way, without division.
 """
 
 from fractions import Fraction
@@ -402,16 +407,56 @@ def _check_value(key, v):
             raise NonpositiveVariable(f"variable at {key} is zero")
 
 
-def _evaluate_word(n, word, assignment):
-    factors = []
+def _evaluate(n, which, assignment, adjugate):
+    """T_which, or adj(T_which), as column operations on a running matrix.
+
+    Each factor F multiplies on the right: L_k adds column k+1 into column k,
+    H_k(t) scales columns k+1..n by t, S reverses the columns with signs
+    (-1)^j (0-indexed j).  adj(AB) = adj(B) adj(A), so the adjugate walks the
+    word backwards with adj(L_k) = I - E_{k+1,k}, adj(H_k(t)) =
+    diag(t^(n-k) x k, t^(n-k-1) x (n-k)) and adj(S) = det(S) S^T = S^T.
+    Nothing divides, so entries may be ring elements such as LaurentPoly.
+    """
+    if not isinstance(assignment, FGAssignment) or assignment.n != n:
+        raise IncompleteAssignment(f"need a complete assignment for n={n}")
+    word = transport_word(n, which)
+    # Every entry lives in the ring of the widest variable, exactly as in the
+    # dense product of the factors: rationals never widen it.
+    one = Fraction(1)
     for f in word:
+        if f[0] == "H":
+            t = assignment[f[2]]
+            if not isinstance(t, (int, Fraction)):
+                one = one * (t * 0 + 1)
+    zero = one * 0
+    cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
+    # S^T's signs are S's signs times (-1)^(n-1)
+    odd = (n - 1) % 2 if adjugate else 0
+    for f in reversed(word) if adjugate else word:
         if f[0] == "S":
-            factors.append(elem_s(n))
+            cols = [
+                [-x for x in c] if (j + odd) % 2 else c
+                for j, c in enumerate(reversed(cols))
+            ]
         elif f[0] == "L":
-            factors.append(elem_l(n, f[1]))
+            k = f[1]
+            a, b = cols[k - 1], cols[k]
+            if adjugate:
+                cols[k - 1] = [x - y for x, y in zip(a, b)]
+            else:
+                cols[k - 1] = [x + y for x, y in zip(a, b)]
         else:
-            factors.append(elem_h(n, f[1], assignment[f[2]]))
-    return mat_prod(factors, n)
+            k, t = f[1], assignment[f[2]]
+            if adjugate:
+                p = t ** (n - k - 1)
+                q = p * t
+                for j in range(n):
+                    s = q if j < k else p
+                    cols[j] = [x * s for x in cols[j]]
+            else:
+                for j in range(k, n):
+                    cols[j] = [x * t for x in cols[j]]
+    return transpose(cols)
 
 
 def transport(n, which, assignment):
@@ -420,9 +465,16 @@ def transport(n, which, assignment):
     An exact unnormalized projective representative: T1*T2*T3 is a scalar
     matrix, not the identity on the nose.
     """
-    if not isinstance(assignment, FGAssignment) or assignment.n != n:
-        raise IncompleteAssignment(f"need a complete assignment for n={n}")
-    return _evaluate_word(n, transport_word(n, which), assignment)
+    return _evaluate(n, which, assignment, adjugate=False)
+
+
+def transport_adjugate(n, which, assignment):
+    """adj(T_which), read off the reversed transport word without division.
+
+    Equal to linalg.adjugate(transport(n, which, assignment)); it is the
+    inverse of the transport up to the scalar det(T_which).
+    """
+    return _evaluate(n, which, assignment, adjugate=True)
 
 
 def standard_matrix_n3(z):

@@ -23,8 +23,8 @@ from fractions import Fraction
 from .encode import SCHEMA, check_schema, scalar_from_json, scalar_to_json
 from .errors import DomainError
 from .flags import interior_vertices
-from .linalg import adjugate, mat_prod, mat_scale
-from .snakes import FGAssignment, elem_s, transport
+from .linalg import mat_prod, mat_scale
+from .snakes import FGAssignment, elem_s, transport, transport_adjugate
 
 
 class UnknownTriangle(DomainError):
@@ -312,7 +312,8 @@ def path_matrix(surf, word):
     """Evaluate a path word on a surface, projectively, exactly.
 
     T tokens become transport matrices for the named triangle's assignment;
-    inverted transports use the adjugate, which is the inverse up to the
+    inverted transports become their adjugates (snakes.transport_adjugate,
+    read off the reversed transport word), which are the inverses up to the
     determinant scalar.  S tokens become the side-change matrix.  The stored
     sign multiplies the result.
     """
@@ -327,8 +328,8 @@ def path_matrix(surf, word):
         _, tri, i, inverted = t
         if tri not in surf.triangles:
             raise UnknownTriangle(f"word references unknown triangle {tri!r}")
-        m = transport(n, i, surf.triangles[tri])
-        factors.append(adjugate(m) if inverted else m)
+        evaluate = transport_adjugate if inverted else transport
+        factors.append(evaluate(n, i, surf.triangles[tri]))
     out = mat_prod(factors, n)
     if word.sign == -1:
         out = mat_scale(-1, out)

@@ -89,6 +89,13 @@ def test_verify_transport_respects_n(capsys):
     assert "n=4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("suite,n", [("transport", 12), ("amalgamation", 10)])
+def test_verify_large_rank(suite, n, capsys):
+    argv = ["verify", suite, "--n", str(n), "--trials", "1", "--seed", "0"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.endswith(f"{suite}: 1/1 passed\n")
+
+
 def test_verify_fails_nonzero(capsys, monkeypatch):
     monkeypatch.setitem(cli.SUITES, "fricke", lambda rng, trials, n: [("stub", False)])
     assert cli.main(["verify", "fricke", "--trials", "1"]) == 1

@@ -17,7 +17,15 @@ from teichkit.flags import (
     triple_ratio,
 )
 from teichkit.laurent import LaurentRing
-from teichkit.linalg import det, identity, is_scalar_matrix, mat_mul, mat_prod, proj_eq
+from teichkit.linalg import (
+    adjugate,
+    det,
+    identity,
+    is_scalar_matrix,
+    mat_mul,
+    mat_prod,
+    proj_eq,
+)
 from teichkit.snakes import (
     BadSegment,
     FGAssignment,
@@ -39,6 +47,7 @@ from teichkit.snakes import (
     snake_basis,
     standard_matrix_n3,
     transport,
+    transport_adjugate,
     transport_word,
 )
 
@@ -386,6 +395,86 @@ class TestTransport:
     def test_needs_matching_assignment(self):
         with pytest.raises(IncompleteAssignment):
             transport(3, 1, FGAssignment.constant(4))
+
+
+def dense_transport(n, which, z):
+    """Reference: the product of the dense factor matrices of the word."""
+    factors = []
+    for f in transport_word(n, which):
+        if f[0] == "S":
+            factors.append(elem_s(n))
+        elif f[0] == "L":
+            factors.append(elem_l(n, f[1]))
+        else:
+            factors.append(elem_h(n, f[1], z[f[2]]))
+    return mat_prod(factors, n)
+
+
+def laurent_assignment(n, seed):
+    # symbolic interior and side variables mixed with rational constants
+    rng = random.Random(seed)
+    keys = side_vertices(n) + interior_vertices(n)
+    ring = LaurentRing(*(f"z{i}" for i in range(len(keys))))
+    gens = ring.gens()
+    return FGAssignment(
+        n,
+        {
+            k: gens[i] if i % 3 else Q(rng.randint(1, 9), rng.randint(1, 5))
+            for i, k in enumerate(keys)
+        },
+    )
+
+
+def float_assignment(n, seed):
+    rng = random.Random(seed)
+    keys = side_vertices(n) + interior_vertices(n)
+    return FGAssignment(n, {k: rng.uniform(0.1, 5.0) for k in keys})
+
+
+def same_entries(a, b):
+    return a == b and all(
+        type(x) is type(y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)
+    )
+
+
+class TestColumnEvaluation:
+    """transport and transport_adjugate against the dense factor product."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("which", [1, 2, 3])
+    def test_rational_matches_dense_product(self, n, which):
+        z = random_assignment(n, 300 + 10 * n + which)
+        got = transport(n, which, z)
+        assert same_entries(got, dense_transport(n, which, z))
+        assert all(isinstance(x, Q) for row in got for x in row)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("which", [1, 2, 3])
+    def test_laurent_matches_dense_product(self, n, which):
+        z = laurent_assignment(n, 400 + n)
+        assert same_entries(transport(n, which, z), dense_transport(n, which, z))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("which", [1, 2, 3])
+    def test_float_matches_dense_product(self, n, which):
+        z = float_assignment(n, 500 + n)
+        got = transport(n, which, z)
+        assert got == dense_transport(n, which, z)
+        assert all(isinstance(x, float) for row in got for x in row)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("which", [1, 2, 3])
+    def test_adjugate_read_off_reversed_word(self, n, which):
+        z = random_assignment(n, 600 + 10 * n + which)
+        want = adjugate(transport(n, which, z))
+        assert same_entries(transport_adjugate(n, which, z), want)
+        zl = laurent_assignment(n, 700 + n)
+        want = adjugate(transport(n, which, zl))
+        assert same_entries(transport_adjugate(n, which, zl), want)
+
+    def test_adjugate_needs_matching_assignment(self):
+        with pytest.raises(IncompleteAssignment):
+            transport_adjugate(3, 1, FGAssignment.constant(4))
 
 
 class TestFlagOracle:

@@ -5,6 +5,7 @@ terms, sign on the numerator).  Floats travel as JSON numbers.  The schema
 tag "teichkit/1" marks every top-level document.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import SchemaError
@@ -40,6 +41,8 @@ def scalar_from_json(v, mode="rational"):
     if isinstance(v, float):
         if mode == "rational":
             raise SchemaError(f"float {v} not allowed in rational mode")
+        if not math.isfinite(v):
+            raise SchemaError(f"float {v} is not finite")
         return v
     raise SchemaError(f"cannot decode scalar from {type(v).__name__}")
 

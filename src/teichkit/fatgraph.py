@@ -17,6 +17,10 @@ so inverting a word flips turn letters and multiplies the sign by (-1) per
 turn; PathWord carries that sign explicitly and evaluation applies it, so
 traces are honest SL(2) traces.  The cusp trace of a K-free word A is
 Tr(A K) = -A[0][1].
+
+Mat2 is the one 2x2 matrix type of the package; halfplane.MobiusMap
+subclasses it for matrices with positive determinant acting on the upper
+half-plane.
 """
 
 from dataclasses import dataclass
@@ -289,7 +293,7 @@ class FatGraph:
                 e: EdgeData(scalar_from_json(d["weight"], mode), bool(d.get("open", False)))
                 for e, d in doc["edges"].items()
             }
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, SchemaError):
                 raise
             raise SchemaError(f"bad fatgraph document: {exc}") from exc

@@ -12,12 +12,14 @@ Everything in this module is exact: entries are converted to Fraction and all
 rank and intersection decisions use exact arithmetic.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .encode import SCHEMA, check_schema, scalar_from_json, scalar_to_json
 from .errors import DomainError
 from .halfplane import INFINITY, cross_ratio as boundary_cross_ratio
 from .linalg import (
+    _fractions,
     canonical_vector,
     det,
     intersect_row_spaces,
@@ -57,29 +59,24 @@ class NotCoplanar(DomainError):
     pass
 
 
-def _fracvec(v):
-    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in v)
-
-
+@dataclass(frozen=True)
 class Flag:
     """Complete flag: F_i is the span of the first i rows of ``rows``.
 
     The matrix must be square and invertible; this is checked exactly at
-    construction.  Flags are immutable and compare by their row matrix.
+    construction, by rank.  Flags are immutable and compare by their row
+    matrix.
     """
 
-    __slots__ = ("rows",)
+    rows: tuple
 
-    def __init__(self, rows):
-        m = mat(tuple(_fracvec(r) for r in rows))
+    def __post_init__(self):
+        m = mat(_fractions(r) for r in self.rows)
         if not m or len(m) != len(m[0]):
             raise DimensionMismatch("flag matrix must be square and nonempty")
-        if det(m) == 0:
+        if rank(m) != len(m):
             raise SingularFlag("flag matrix is singular")
         object.__setattr__(self, "rows", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Flag is immutable")
 
     @property
     def n(self):
@@ -90,12 +87,6 @@ class Flag:
         if not 0 <= i <= self.n:
             raise DimensionMismatch(f"subspace index {i} out of range 0..{self.n}")
         return row_space(self.rows[:i])
-
-    def __eq__(self, other):
-        return isinstance(other, Flag) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         return f"Flag({[list(r) for r in self.rows]})"
@@ -110,7 +101,7 @@ class Flag:
     @classmethod
     def from_json(cls, doc):
         check_schema(doc, "flag")
-        return cls(doc["rows"])
+        return cls([[scalar_from_json(x) for x in row] for row in doc["rows"]])
 
 
 def standard_flag(n):
@@ -212,13 +203,13 @@ def projective_basis_vectors(lines, weights):
     <v_i> = lines[i] and <w_1 v_1 + ... + w_n v_n> = lines[n].  The global
     factor is fixed by scaling the first vector's first nonzero entry to 1.
     """
-    gens = [_fracvec(v) for v in lines]
+    gens = [_fractions(v) for v in lines]
     if not gens:
         raise NotProjectiveBasis("no lines given")
     n = len(gens[0])
     if len(gens) != n + 1:
         raise NotProjectiveBasis(f"need {n + 1} lines in dimension {n}, got {len(gens)}")
-    w = [x if isinstance(x, Fraction) else Fraction(x) for x in weights]
+    w = _fractions(weights)
     if len(w) != n or any(x == 0 for x in w):
         raise NotProjectiveBasis("weights must be n nonzero scalars")
     for k in range(n + 1):
@@ -233,6 +224,7 @@ def projective_basis_vectors(lines, weights):
     return tuple(tuple(x / lead for x in v) for v in vecs)
 
 
+@dataclass(frozen=True)
 class LineConfig:
     """Lines and planes cut out by a flag triple on the lattice triangle.
 
@@ -243,23 +235,15 @@ class LineConfig:
             downward tile would carry the whole plane, not a proper subspace.
     """
 
-    __slots__ = ("n", "lines", "planes")
+    n: int
+    lines: dict
+    planes: dict
 
-    def __init__(self, n, lines, planes):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "lines", dict(lines))
-        object.__setattr__(self, "planes", dict(planes))
+    __hash__ = None
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LineConfig is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LineConfig)
-            and self.n == other.n
-            and self.lines == other.lines
-            and self.planes == other.planes
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "lines", dict(self.lines))
+        object.__setattr__(self, "planes", dict(self.planes))
 
     def __repr__(self):
         return f"LineConfig(n={self.n}, {len(self.lines)} lines, {len(self.planes)} planes)"
@@ -283,14 +267,12 @@ class LineConfig:
     def from_json(cls, doc):
         check_schema(doc, "line_config")
         lines = {
-            tuple(int(s) for s in k.split(",")): _fracvec(
-                scalar_from_json(x) for x in v
-            )
+            tuple(int(s) for s in k.split(",")): tuple(scalar_from_json(x) for x in v)
             for k, v in doc["lines"].items()
         }
         planes = {
             tuple(int(s) for s in k.split(",")): tuple(
-                _fracvec(scalar_from_json(x) for x in row) for row in v
+                tuple(scalar_from_json(x) for x in row) for row in v
             )
             for k, v in doc["planes"].items()
         }
@@ -383,7 +365,7 @@ def pencil_cross_ratio(l1, l2, l3, l4):
     boundary cross ratio of the four slopes is returned; the result does not
     depend on the basis choice.
     """
-    gens = [_fracvec(v) for v in (l1, l2, l3, l4)]
+    gens = [_fractions(v) for v in (l1, l2, l3, l4)]
     span = row_space(gens)
     if len(span) > 2:
         raise NotCoplanar("lines do not lie in a common plane")

@@ -4,6 +4,9 @@ Points with Im z > 0 are interior; the boundary circle is R u {oo}.
 Orientation-preserving isometries are Mobius maps z -> (az+b)/(cz+d) with
 real entries and ad - bc > 0; entries are kept unnormalized and all
 projective quantities are written to be invariant under rescaling.
+MobiusMap is the package's one 2x2 matrix type, fatgraph.Mat2, with that
+determinant condition and the action on points: a holonomy matrix and the
+map it induces share product, det, trace and entries.
 
 Scalars are polymorphic: Fraction in, Fraction out wherever the formula is
 rational; square roots try an exact rational root first and fall back to
@@ -17,6 +20,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DomainError
+from .fatgraph import Mat2
 
 
 class DegenerateInput(DomainError):
@@ -94,35 +98,21 @@ class MapClass(Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-class MobiusMap:
+class MobiusMap(Mat2):
     """z -> (a z + b)/(c z + d), real entries, positive determinant."""
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ()
 
     def __init__(self, a, b, c, d):
-        self.a, self.b, self.c, self.d = (_scalar(x) for x in (a, b, c, d))
+        super().__init__(*(_scalar(x) for x in (a, b, c, d)))
         if self.det() <= 0:
             raise NonpositiveDeterminant(f"ad - bc = {self.det()} must be > 0")
 
-    @classmethod
-    def identity(cls):
-        return cls(1, 0, 0, 1)
-
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
-
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
-    def trace(self):
-        return self.a + self.d
-
     def compose(self, other):
-        a, b, c, d = self.entries()
-        e, f, g, h = other.entries()
-        return MobiusMap(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        return MobiusMap(*(self * other).entries())
 
     def inverse(self):
+        """The adjugate: inverse as a map, det times the matrix inverse."""
         return MobiusMap(self.d, -self.b, -self.c, self.a)
 
     def apply(self, z):

@@ -7,8 +7,10 @@ Rank, solving and subspace work require a field and are written for Fraction
 entries.
 
 Products cost O(n^3) and projective equality O(n^2), but det and adjugate
-expand cofactors and grow like n!; keep them to small matrices.  Transports
-never need them: snakes evaluates and inverts those from their words.
+expand cofactors and grow like n!; they serve small matrices (the 3x3
+determinants of flags.triple_ratio) and tests only.  Nothing large needs
+them: snakes evaluates and inverts transports from their words, and Flag
+checks invertibility by rank.
 """
 
 from fractions import Fraction
@@ -146,13 +148,14 @@ def proj_eq(a, b):
 # -- Fraction-field routines ------------------------------------------------
 
 
-def _frac_rows(rows):
-    return [[x if isinstance(x, Fraction) else Fraction(x) for x in r] for r in rows]
+def _fractions(v):
+    """The entries of v as Fractions, in a new list: the field these routines need."""
+    return [x if isinstance(x, Fraction) else Fraction(x) for x in v]
 
 
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot column list)."""
-    m = _frac_rows(rows)
+    m = [_fractions(r) for r in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -208,9 +211,8 @@ def nullspace(rows):
 
 def solve(a_rows, b):
     """One solution x of A x = b over Fraction, or None if inconsistent."""
-    a = _frac_rows(a_rows)
-    b = [x if isinstance(x, Fraction) else Fraction(x) for x in b]
-    aug = [row + [bv] for row, bv in zip(a, b)]
+    a = [_fractions(r) for r in a_rows]
+    aug = [row + [bv] for row, bv in zip(a, _fractions(b))]
     m, pivots = rref(aug)
     ncols = len(a[0]) if a else 0
     if ncols in pivots:
@@ -244,7 +246,7 @@ def intersect_row_spaces(a_rows, b_rows):
 
 def canonical_vector(v):
     """Scale so the first nonzero coordinate is 1; canonical line representative."""
-    v = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in v)
+    v = _fractions(v)
     lead = next((x for x in v if x != 0), None)
     if lead is None:
         raise LinAlgError("zero vector has no canonical form")

@@ -22,6 +22,7 @@ from .errors import DomainError, SchemaError
 from .halfplane import (
     INFINITY,
     MobiusMap,
+    _scalar,
     apply_to_geodesic,
     axis,
     common_perpendicular,
@@ -66,7 +67,7 @@ def _coord(v, allow_infinity=False):
         raise BadGeometry(f"bad coordinate {v!r}")
     if isinstance(v, float) and not math.isfinite(v):
         raise BadGeometry(f"coordinate must be finite, got {v!r}")
-    return Fraction(v) if isinstance(v, int) else v
+    return _scalar(v)
 
 
 @dataclass(frozen=True)
@@ -453,7 +454,7 @@ def pants_maps(e1, e2, e3):
     for e in (e1, e2, e3):
         if isinstance(e, bool) or not isinstance(e, (int, Fraction, float)) or e <= 0:
             raise BadGeometry(f"exponentiated shear must be positive, got {e!r}")
-    a, b, c = (Fraction(e) if isinstance(e, int) else e for e in (e1, e2, e3))
+    a, b, c = (_scalar(e) for e in (e1, e2, e3))
     m1 = MobiusMap(1 / (b * c), -(1 + 1 / b), 0, 1)
     m2 = MobiusMap(1, 0, 1 / (a * c) + 1 / c, 1 / (a * c))
     m3 = m1.compose(m2).inverse()

@@ -20,12 +20,13 @@ entries per factor and O(n^3) in all, and its adjugate (the inverse up to a
 scalar) comes from the reversed word the same way, without division.
 """
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .encode import SCHEMA, check_schema, scalar_from_json, scalar_to_json
 from .errors import DomainError
 from .flags import DegenerateConfiguration, interior_vertices
-from .linalg import canonical_vector, mat_mul, mat_prod, solve, transpose
+from .linalg import _fractions, canonical_vector, mat_mul, mat_prod, solve, transpose
 
 
 class IndexOutOfRange(DomainError):
@@ -103,6 +104,7 @@ def _segment_frame(a, b):
     return m, i, j
 
 
+@dataclass(frozen=True)
 class Snake:
     """Ordered tuple of n upward tiles descending from a corner.
 
@@ -111,10 +113,12 @@ class Snake:
     segment running parallel to the opposite (target) side.
     """
 
-    __slots__ = ("tiles", "n", "axis")
+    tiles: tuple
+    n: int = field(init=False, compare=False)
+    axis: int = field(init=False, compare=False)
 
-    def __init__(self, tiles):
-        tiles = tuple(tuple(int(x) for x in t) for t in tiles)
+    def __post_init__(self):
+        tiles = tuple(tuple(int(x) for x in t) for t in self.tiles)
         if not tiles:
             raise BadSegment("empty snake")
         n = sum(tiles[0]) + 1
@@ -135,15 +139,6 @@ class Snake:
         object.__setattr__(self, "tiles", tiles)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "axis", axis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Snake is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Snake) and self.tiles == other.tiles
-
-    def __hash__(self):
-        return hash(self.tiles)
 
     def __repr__(self):
         return f"Snake({list(self.tiles)})"
@@ -232,7 +227,7 @@ def snake_basis(config, snake, first=None):
     if first is None:
         v = g0
     else:
-        v = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in first)
+        v = tuple(_fractions(first))
         if canonical_vector(v) != g0:
             raise DegenerateConfiguration("first vector not on the snake's first line")
     rows = [v]
@@ -324,6 +319,7 @@ def side_vertices(n):
     return out
 
 
+@dataclass(frozen=True)
 class FGAssignment:
     """Fock-Goncharov variables: one positive scalar per non-corner vertex.
 
@@ -333,9 +329,13 @@ class FGAssignment:
     manipulation (symbolics are only checked to be nonzero).
     """
 
-    __slots__ = ("n", "values")
+    n: int
+    values: dict
 
-    def __init__(self, n, values):
+    __hash__ = None
+
+    def __post_init__(self):
+        n, values = self.n, self.values
         want = set(side_vertices(n)) | set(interior_vertices(n))
         got = {tuple(int(x) for x in k) for k in values}
         if got != want:
@@ -349,21 +349,10 @@ class FGAssignment:
             key = tuple(int(x) for x in k)
             _check_value(key, v)
             vals[key] = v
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", vals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FGAssignment is immutable")
 
     def __getitem__(self, key):
         return self.values[tuple(key)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FGAssignment)
-            and self.n == other.n
-            and self.values == other.values
-        )
 
     def rotated(self):
         """Cyclic relabeling: the value at (a,b,c) becomes the one at (c,a,b)."""

@@ -17,12 +17,13 @@ it tears a gluing apart and splits each amalgamated product back into two
 pinning factors.
 """
 
-import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .encode import SCHEMA, check_schema, scalar_from_json, scalar_to_json
 from .errors import DomainError
 from .flags import interior_vertices
+from .halfplane import exact_sqrt
 from .linalg import mat_prod, mat_scale
 from .snakes import FGAssignment, elem_s, transport, transport_adjugate
 
@@ -78,6 +79,7 @@ def _norm_end(n, end):
     return (tri, side)
 
 
+@dataclass(frozen=True)
 class TriangulatedSurface:
     """Immutable: labelled triangles with assignments, plus side gluings.
 
@@ -87,10 +89,15 @@ class TriangulatedSurface:
     appear in at most one gluing, and never glued to itself.
     """
 
-    __slots__ = ("n", "triangles", "gluings", "_partner")
+    triangles: dict
+    gluings: tuple = ()
+    n: int = field(init=False, compare=False)
+    _partner: dict = field(init=False, compare=False)
 
-    def __init__(self, triangles, gluings=()):
-        tris = dict(triangles)
+    __hash__ = None
+
+    def __post_init__(self):
+        tris = dict(self.triangles)
         if not tris:
             raise UnknownTriangle("a surface needs at least one triangle")
         ns = set()
@@ -106,7 +113,7 @@ class TriangulatedSurface:
 
         partner = {}
         pairs = []
-        for raw in gluings:
+        for raw in self.gluings:
             a, b = raw
             a = _norm_end(n, tuple(a))
             b = _norm_end(n, tuple(b))
@@ -125,20 +132,6 @@ class TriangulatedSurface:
         object.__setattr__(self, "triangles", tris)
         object.__setattr__(self, "gluings", tuple(sorted(pairs)))
         object.__setattr__(self, "_partner", partner)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TriangulatedSurface is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TriangulatedSurface)
-            and self.n == other.n
-            and set(self.triangles) == set(other.triangles)
-            and all(self.triangles[t] == other.triangles[t] for t in self.triangles)
-            and self.gluings == other.gluings
-        )
-
-    __hash__ = None
 
     def __repr__(self):
         return (
@@ -218,6 +211,7 @@ def t_token(tri, i, inverted=False):
 S_TOKEN = ("S",)
 
 
+@dataclass(frozen=True)
 class TrianglePathWord:
     """Alternating word of triangle transports and side-change crossings.
 
@@ -229,11 +223,12 @@ class TrianglePathWord:
     projectively.
     """
 
-    __slots__ = ("tokens", "sign")
+    tokens: tuple
+    sign: int = 1
 
-    def __init__(self, tokens, sign=1):
+    def __post_init__(self):
         toks = []
-        for t in tokens:
+        for t in self.tokens:
             if t == "S" or t == ("S",):
                 toks.append(S_TOKEN)
                 continue
@@ -246,23 +241,9 @@ class TrianglePathWord:
         for a, b in zip(toks, toks[1:]):
             if a[0] == b[0]:
                 raise MalformedWord(f"adjacent {a[0]} tokens break the alternation")
-        if sign not in (1, -1):
-            raise MalformedWord(f"sign must be +1 or -1, got {sign!r}")
+        if self.sign not in (1, -1):
+            raise MalformedWord(f"sign must be +1 or -1, got {self.sign!r}")
         object.__setattr__(self, "tokens", tuple(toks))
-        object.__setattr__(self, "sign", sign)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TrianglePathWord is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TrianglePathWord)
-            and self.tokens == other.tokens
-            and self.sign == other.sign
-        )
-
-    def __hash__(self):
-        return hash((self.tokens, self.sign))
 
     def __repr__(self):
         bits = []
@@ -554,13 +535,10 @@ def four_holed_sphere_fg(n, assignments):
 def _sqrt_exact(x):
     """Exact square root of a Fraction or of a Laurent monomial."""
     if isinstance(x, (int, Fraction)):
-        f = Fraction(x)
-        if f < 0:
-            raise NotAPerfectSquare(f"{x} is negative")
-        rn, rd = math.isqrt(f.numerator), math.isqrt(f.denominator)
-        if rn * rn != f.numerator or rd * rd != f.denominator:
+        root = exact_sqrt(Fraction(x))
+        if root is None:
             raise NotAPerfectSquare(f"{x} is not a rational square")
-        return Fraction(rn, rd)
+        return root
     coeff, exps = x.monomial_parts()
     if any(e % 2 for e in exps):
         raise NotAPerfectSquare(f"odd exponent in {x}")

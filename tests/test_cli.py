@@ -68,6 +68,24 @@ def test_holonomy_error_exits(pants_files, tmp_path, capsys):
     assert cli.main(["holonomy", str(gp), str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "edit, flags",
+    [
+        (lambda doc: doc.update(vertices=[]), []),
+        (lambda doc: doc.update(edges="s1"), []),
+        (lambda doc: doc["edges"]["s1"].update(weight=float("nan")), ["--scalar", "float"]),
+    ],
+    ids=["vertices-list", "edges-string", "nan-weight"],
+)
+def test_holonomy_malformed_graph_exits_2(pants_files, edit, flags, capsys):
+    gp, wp = pants_files
+    doc = json.loads(gp.read_text())
+    edit(doc)
+    gp.write_text(json.dumps(doc))
+    assert cli.main(["holonomy", str(gp), str(wp), *flags]) == 2
+    assert capsys.readouterr().err.startswith("SchemaError")
+
+
 @pytest.mark.parametrize("suite", sorted(cli.SUITES))
 def test_verify_suites_pass(suite, capsys):
     assert cli.main(["verify", suite, "--trials", "2", "--seed", "3"]) == 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from teichkit.errors import SchemaError
 from teichkit.fatgraph import (
     EdgeData,
     FatGraph,
@@ -43,6 +44,8 @@ def test_generator_dets_and_relations():
     assert (-X).entries() == Xi.entries()
     K = cusp_bounce()
     assert K.det() == 0 and (K * K).entries() == (0, 0, 0, 0)
+    with pytest.raises(InvalidWord):
+        K.inverse()
     # R^-1 = -L
     assert (R * (-L)).entries() == (1, 0, 0, 1)
 
@@ -225,6 +228,15 @@ def test_json_round_trip():
     w = loops["loop4"]
     w2 = PathWord.from_json(w.to_json())
     assert w2 == w
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_from_json_rejects_non_finite_weights(weight):
+    g, _ = pair_of_pants(2.0, 3.0, 5.0)
+    doc = g.to_json()
+    doc["edges"]["s2"]["weight"] = weight
+    with pytest.raises(SchemaError):
+        FatGraph.from_json(doc, "float")
 
 
 def test_holonomy_is_scalar_mode_agnostic():

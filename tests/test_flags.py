@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from teichkit import linalg as la
+from teichkit.errors import SchemaError
 from teichkit.flags import (
     DegenerateConfiguration,
     DimensionMismatch,
@@ -53,6 +54,18 @@ class TestFlagType:
     def test_rejects_singular(self):
         with pytest.raises(SingularFlag):
             Flag([(1, 2), (2, 4)])
+        # rank 7: the last row is the sum of the first two
+        rows = [[Q(int(i <= j)) for j in range(8)] for i in range(7)]
+        rows.append([x + y for x, y in zip(rows[0], rows[1])])
+        with pytest.raises(SingularFlag):
+            Flag(rows)
+
+    def test_large_invertible_flag_constructs(self):
+        # upper unitriangular with first column 1..10: invertible, and far
+        # past the size a cofactor determinant could check (10! terms)
+        rows = [[Q(i + 1) if j == 0 else Q(int(i <= j)) for j in range(10)] for i in range(10)]
+        f = Flag(rows)
+        assert f.n == 10 and len(f.subspace(10)) == 10
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
@@ -69,6 +82,13 @@ class TestFlagType:
     def test_json_round_trip(self):
         f = Flag([(1, Q(1, 2), 3), (0, 1, Q(-2, 7)), (0, 0, 1)])
         assert Flag.from_json(f.to_json()) == f
+
+    @pytest.mark.parametrize("bad", [0.1, True])
+    def test_from_json_decodes_rational_scalars_only(self, bad):
+        doc = Flag([(1, 0), (0, 1)]).to_json()
+        doc["rows"][0][1] = bad
+        with pytest.raises(SchemaError):
+            Flag.from_json(doc)
 
 
 class TestLattice:

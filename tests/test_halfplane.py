@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from teichkit.fatgraph import Mat2
 from teichkit.halfplane import (
     INFINITY,
     Arc,
@@ -61,6 +62,9 @@ def test_compose_matches_matrix_product_action():
             if a * d - b * c > 0 and e * h - f * g > 0:
                 break
         m1, m2 = MobiusMap(a, b, c, d), MobiusMap(e, f, g, h)
+        # one 2x2 type: composing maps is the matrix product, compared entrywise
+        assert isinstance(m1, Mat2)
+        assert m1.compose(m2) == m1 * m2 == Mat2(a, b, c, d) * Mat2(e, f, g, h)
         z = F(rng.randint(-5, 5), rng.randint(1, 7))
         lhs = m1.compose(m2).apply(z)
         rhs_inner = m2.apply(z)
@@ -73,6 +77,7 @@ def test_inverse_composes_to_scalar_identity():
     mi = m.inverse()
     comp = m.compose(mi)
     assert comp.b == 0 and comp.c == 0 and comp.a == comp.d
+    assert comp == mi.compose(m) == Mat2(m.det(), 0, 0, m.det())
     assert classify(comp) is MapClass.IDENTITY
 
 

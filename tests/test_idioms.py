@@ -1,0 +1,79 @@
+"""One immutability idiom across the value classes, and a guard that keeps it.
+
+Each value class is frozen: assigning to any of its fields, derived ones
+included, raises AttributeError; two constructions from the same input
+compare equal and a different input compares unequal; hashability is part of
+each class's contract (a flag, a snake and a path word are hashable, the
+dict-holding classes are not).
+"""
+
+import ast
+from fractions import Fraction as Q
+from pathlib import Path
+
+import pytest
+
+from teichkit.flags import Flag, LineConfig
+from teichkit.snakes import FGAssignment, Snake, boundary_snake_12, boundary_snake_31
+from teichkit.surface import TrianglePathWord, TriangulatedSurface, t_token
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "teichkit"
+
+
+def _surface(pin):
+    asg = FGAssignment.constant(2, Q(pin))
+    return TriangulatedSurface({"t": asg}, [(("t", "12"), ("t", "23"))])
+
+
+# (make(variant), fields, hashable); make(0) twice gives equal objects,
+# make(1) a different one
+CASES = {
+    "Flag": (lambda v: Flag([(1, v), (0, 1)]), ("rows",), True),
+    "LineConfig": (
+        lambda v: LineConfig(2, {(1, 0, 0): (Q(1), Q(v))}, {}),
+        ("n", "lines", "planes"),
+        False,
+    ),
+    "Snake": (
+        lambda v: boundary_snake_31(3) if v else Snake(boundary_snake_12(3).tiles),
+        ("tiles", "n", "axis"),
+        True,
+    ),
+    "FGAssignment": (
+        lambda v: FGAssignment.constant(2, Q(v + 1)), ("n", "values"), False
+    ),
+    "TriangulatedSurface": (
+        lambda v: _surface(v + 1), ("n", "triangles", "gluings", "_partner"), False
+    ),
+    "TrianglePathWord": (
+        lambda v: TrianglePathWord(["S", t_token("t", 1 + v)]), ("tokens", "sign"), True
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_value_class_is_frozen_and_compares_by_value(name):
+    make, fields, hashable = CASES[name]
+    a, b, other = make(0), make(0), make(1)
+    for attr in fields + ("not_a_field",):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, None)
+    assert a == b and a is not b
+    assert a != other
+    if hashable:
+        assert hash(a) == hash(b)
+        assert len({a, b, other}) == 2
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+
+
+def test_no_class_overrides_setattr():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "__setattr__":
+                        offenders.append(f"{path.name}:{item.lineno} {node.name}")
+    assert not offenders, f"freeze with @dataclass(frozen=True) instead: {offenders}"

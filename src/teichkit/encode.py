@@ -6,9 +6,10 @@ tag "teichkit/1" marks every top-level document.
 """
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import DomainError, SchemaError
 
 SCHEMA = "teichkit/1"
 
@@ -35,9 +36,9 @@ def scalar_from_json(v, mode="rational"):
             q = Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad rational literal {v!r}") from exc
-        return float(q) if mode == "float" else q
+        return _float(q) if mode == "float" else q
     if isinstance(v, int):
-        return float(v) if mode == "float" else Fraction(v)
+        return _float(v) if mode == "float" else Fraction(v)
     if isinstance(v, float):
         if mode == "rational":
             raise SchemaError(f"float {v} not allowed in rational mode")
@@ -45,6 +46,32 @@ def scalar_from_json(v, mode="rational"):
             raise SchemaError(f"float {v} is not finite")
         return v
     raise SchemaError(f"cannot decode scalar from {type(v).__name__}")
+
+
+def _float(q):
+    try:
+        return float(q)
+    except OverflowError as exc:
+        raise SchemaError("scalar is too large for a float") from exc
+
+
+@contextmanager
+def decoding(kind):
+    """Report a structural failure inside the block as a SchemaError.
+
+    Wraps the body of a ``from_json``: a missing key, a value of the wrong
+    JSON type or an unparsable field raises KeyError, IndexError, TypeError,
+    ValueError or AttributeError there (OverflowError for int(Infinity),
+    which Python's json module parses), and it becomes a SchemaError naming
+    ``kind``.  SchemaError and DomainError (both ValueErrors) pass unchanged:
+    they already say what is wrong.
+    """
+    try:
+        yield
+    except (SchemaError, DomainError):
+        raise
+    except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
+        raise SchemaError(f"bad {kind} document: {exc}") from exc
 
 
 def check_schema(doc, kind):

@@ -25,7 +25,7 @@ half-plane.
 
 from dataclasses import dataclass
 
-from .encode import SCHEMA, check_schema, scalar_from_json, scalar_to_json
+from .encode import SCHEMA, check_schema, decoding, scalar_from_json, scalar_to_json
 from .errors import DomainError, SchemaError
 
 
@@ -162,13 +162,12 @@ class PathWord:
     @classmethod
     def from_json(cls, doc):
         check_schema(doc, "pathword")
-        try:
+        with decoding("pathword"):
             toks = tuple(t if isinstance(t, str) else (t[0], t[1]) for t in doc["tokens"])
-            return cls(toks, doc.get("sign", 1))
-        except (KeyError, TypeError, IndexError) as exc:
-            raise SchemaError(f"bad pathword document: {exc}") from exc
-        except InvalidWord as exc:
-            raise SchemaError(str(exc)) from exc
+            try:
+                return cls(toks, doc.get("sign", 1))
+            except InvalidWord as exc:
+                raise SchemaError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -287,17 +286,13 @@ class FatGraph:
     @classmethod
     def from_json(cls, doc, mode="rational"):
         check_schema(doc, "fatgraph")
-        try:
+        with decoding("fatgraph"):
             vertices = {v: [(e, end) for e, end in hes] for v, hes in doc["vertices"].items()}
             edges = {
                 e: EdgeData(scalar_from_json(d["weight"], mode), bool(d.get("open", False)))
                 for e, d in doc["edges"].items()
             }
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, SchemaError):
-                raise
-            raise SchemaError(f"bad fatgraph document: {exc}") from exc
-        return cls(vertices, edges, doc.get("genus"), doc.get("boundary"))
+            return cls(vertices, edges, doc.get("genus"), doc.get("boundary"))
 
     def __repr__(self):
         return f"FatGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"

@@ -15,14 +15,14 @@ rank and intersection decisions use exact arithmetic.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .encode import SCHEMA, check_schema, scalar_from_json, scalar_to_json
+from .encode import SCHEMA, check_schema, decoding, scalar_from_json, scalar_to_json
 from .errors import DomainError
 from .halfplane import INFINITY, cross_ratio as boundary_cross_ratio
 from .linalg import (
     _fractions,
     canonical_vector,
     det,
-    intersect_row_spaces,
+    identity,
     mat,
     rank,
     row_space,
@@ -101,7 +101,8 @@ class Flag:
     @classmethod
     def from_json(cls, doc):
         check_schema(doc, "flag")
-        return cls([[scalar_from_json(x) for x in row] for row in doc["rows"]])
+        with decoding("flag"):
+            return cls([[scalar_from_json(x) for x in row] for row in doc["rows"]])
 
 
 def standard_flag(n):
@@ -146,8 +147,86 @@ def interior_vertices(n):
     return [(a, b, c) for (a, b, c) in _triples(n) if a >= 1 and b >= 1 and c >= 1]
 
 
-def _triple_intersection(s1, s2, s3):
-    return intersect_row_spaces(intersect_row_spaces(s1, s2), s3)
+def _splitting(f1, f2, rows=()):
+    """Coordinates adapted to a transverse pair, in one elimination pass.
+
+    Column operations on the stacked rows of f1, f2 and ``rows`` change the
+    basis of R^n: first until f1's rows are lower triangular, then, adding
+    only later coordinates into earlier ones, until f2's j-th row lives on
+    the last j coordinates.  Basis vector i then spans L_i = F1_i ∩ F2_{n-i+1}.
+    Returns the basis (each column operation's inverse applied as a row
+    operation to the identity) and ``rows`` in it.  Raises NotTransverse when
+    one of f2's pivots vanishes, i.e. when F1_{n-j} ∩ F2_j is not zero.
+    """
+    if f1.n != f2.n:
+        raise DimensionMismatch("flags live in different dimensions")
+    n = f1.n
+    cols = [list(c) for c in zip(*f1.rows, *f2.rows, *rows)]
+    basis = [list(r) for r in identity(n)]
+
+    def clear(r, p, targets):
+        for c in targets:
+            t = cols[c][r] / cols[p][r]
+            if t:
+                cols[c] = [x - t * y for x, y in zip(cols[c], cols[p])]
+                basis[p] = [x + t * y for x, y in zip(basis[p], basis[c])]
+
+    for i in range(n):
+        p = next(c for c in range(i, n) if cols[c][i])
+        cols[i], cols[p] = cols[p], cols[i]
+        basis[i], basis[p] = basis[p], basis[i]
+        clear(i, i, range(i + 1, n))
+    for j in range(n):
+        p = n - 1 - j
+        if not cols[p][n + j]:
+            raise NotTransverse("flags are not transverse")
+        clear(n + j, p, range(p))
+    return basis, list(zip(*cols))[2 * n :]
+
+
+def _eliminate(rows, k, col):
+    """Clear column ``col`` below row k by adding multiples of row k.
+
+    Changed rows are replaced, not mutated, so rows handed out earlier
+    (``_block_rows`` keeps them) keep their values.
+    """
+    pivot = rows[k][col]
+    if not pivot:
+        raise NotGeneric("flags are not in general position")
+    for i in range(k + 1, len(rows)):
+        t = rows[i][col] / pivot
+        if t:
+            rows[i] = [x - t * y for x, y in zip(rows[i], rows[k])]
+
+
+def _block_rows(rows):
+    """Rows of F3 that span its intersections with every block, by block.
+
+    ``rows`` are F3's rows in the splitting basis of (F1, F2); entries past
+    the first n ride along.  The block F1_{n-a} ∩ F2_{n-b} is the set of
+    vectors vanishing on C, the last a and the first b coordinates.  For each
+    a, forward elimination without row exchanges takes the columns in the
+    order n-1, ..., n-a, 0, 1, ...; it adds earlier rows to later ones only,
+    so row k stays in F3_{k+1}, and after k pivots rows k, k+1 vanish on the
+    first k columns of that order.  Returns {(a, b): [row a+b, row a+b+1]}
+    (one row when a+b = n-1); for a generic triple the first j of them span
+    F1_{n-a} ∩ F2_{n-b} ∩ F3_{a+b+j}.  A vanishing pivot is a vanishing minor
+    det M[:a+b, C], i.e. F1_{n-a} ∩ F2_{n-b} ∩ F3_{a+b} is not zero, and
+    raises NotGeneric.  Every a starts with the columns n-1, n-2, ..., so
+    that shared part runs once.
+    """
+    n = len(rows)
+    out = {}
+    spine = list(rows)
+    for a in range(n):
+        branch = list(spine)
+        for k in range(a, n):
+            out[(a, k - a)] = branch[k : k + 2]
+            if k < n - 1:
+                _eliminate(branch, k, k - a)
+        if a < n - 1:
+            _eliminate(spine, a, n - 1 - a)
+    return out
 
 
 def general_position(f1, f2, f3):
@@ -157,18 +236,20 @@ def general_position(f1, f2, f3):
     F1_{i1} ∩ F2_{i2} ∩ F3_{i3} has the minimal possible dimension
     max(i1+i2+i3-2n, 0).  Taking i3 = n recovers pairwise transversality,
     so no separate check is needed.
+
+    Decided in the splitting basis L of (F1, F2) (see ``two_flag_splitting``):
+    F1 and F2 must be transverse, and then F1_{n-a} ∩ F2_{n-b} is spanned by
+    the coordinates outside C = {first b} ∪ {last a}.  With M the rows of F3
+    in that basis, dim(F1_{n-a} ∩ F2_{n-b} ∩ F3_k) = k - rank M[:k, C], which
+    is minimal for every k iff the minor det M[:|C|, C] is not zero.  These
+    minors are the pivots of one elimination per a (``_block_rows``).
     """
     if not (f1.n == f2.n == f3.n):
         raise DimensionMismatch("flags live in different dimensions")
-    n = f1.n
-    subs = [[f.subspace(i) for i in range(n + 1)] for f in (f1, f2, f3)]
-    for i1 in range(1, n + 1):
-        for i2 in range(1, n + 1):
-            pair = intersect_row_spaces(subs[0][i1], subs[1][i2])
-            for i3 in range(1, n + 1):
-                got = len(intersect_row_spaces(pair, subs[2][i3]))
-                if got != max(i1 + i2 + i3 - 2 * n, 0):
-                    return False
+    try:
+        _block_rows(_splitting(f1, f2, f3.rows)[1])
+    except (NotTransverse, NotGeneric):
+        return False
     return True
 
 
@@ -178,20 +259,8 @@ def two_flag_splitting(f, g):
     L_i = F_i ∩ G_{n-i+1}; then F_i = L_1 + ... + L_i and
     G_i = L_n + ... + L_{n-i+1}.  Returns canonical generators.
     """
-    if f.n != g.n:
-        raise DimensionMismatch("flags live in different dimensions")
-    n = f.n
-    fs = [f.subspace(i) for i in range(n + 1)]
-    gs = [g.subspace(i) for i in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if len(intersect_row_spaces(fs[i], gs[j])) != max(i + j - n, 0):
-                raise NotTransverse("flags are not transverse")
-    out = []
-    for i in range(1, n + 1):
-        cut = intersect_row_spaces(fs[i], gs[n - i + 1])
-        out.append(canonical_vector(cut[0]))
-    return tuple(out)
+    basis, _ = _splitting(f, g)
+    return tuple(canonical_vector(v) for v in basis)
 
 
 def projective_basis_vectors(lines, weights):
@@ -266,41 +335,53 @@ class LineConfig:
     @classmethod
     def from_json(cls, doc):
         check_schema(doc, "line_config")
-        lines = {
-            tuple(int(s) for s in k.split(",")): tuple(scalar_from_json(x) for x in v)
-            for k, v in doc["lines"].items()
-        }
-        planes = {
-            tuple(int(s) for s in k.split(",")): tuple(
-                tuple(scalar_from_json(x) for x in row) for row in v
-            )
-            for k, v in doc["planes"].items()
-        }
-        return cls(int(doc["n"]), lines, planes)
+        with decoding("line_config"):
+            lines = {
+                tuple(int(s) for s in k.split(",")): tuple(scalar_from_json(x) for x in v)
+                for k, v in doc["lines"].items()
+            }
+            planes = {
+                tuple(int(s) for s in k.split(",")): tuple(
+                    tuple(scalar_from_json(x) for x in row) for row in v
+                )
+                for k, v in doc["planes"].items()
+            }
+            return cls(int(doc["n"]), lines, planes)
 
 
 def line_config(f1, f2, f3):
-    """Compute the full line/plane configuration of a triple in general position."""
+    """Compute the full line/plane configuration of a triple in general position.
+
+    The subspace at a tile (a,b,c) is F1_{n-a} ∩ F2_{n-b} ∩ F3_{n-c}.  In the
+    splitting basis of (F1, F2) it is the span of the first n-a-b-c rows that
+    ``_block_rows`` leaves for the block (a, b); F3's own rows, reduced
+    alongside, give them in the original coordinates.
+    """
     if not general_position(f1, f2, f3):
         raise NotGeneric("flags are not in general position")
     n = f1.n
-    subs = [[f.subspace(i) for i in range(n + 1)] for f in (f1, f2, f3)]
+    _, m = _splitting(f1, f2, f3.rows)
+    blocks = _block_rows([r + f for r, f in zip(m, f3.rows)])
+
+    def cut(a, b, c):
+        return row_space([r[n:] for r in blocks[(a, b)][: n - a - b - c]])
+
     lines = {}
     for (a, b, c) in upward_tiles(n):
-        cut = _triple_intersection(subs[0][n - a], subs[1][n - b], subs[2][n - c])
-        if len(cut) != 1:
-            raise NotGeneric(f"expected a line at {(a, b, c)}, got dimension {len(cut)}")
-        lines[(a, b, c)] = canonical_vector(cut[0])
+        line = cut(a, b, c)
+        if len(line) != 1:
+            raise NotGeneric(f"expected a line at {(a, b, c)}, got dimension {len(line)}")
+        lines[(a, b, c)] = line[0]
     planes = {}
     if n >= 3:
         for (a, b, c) in downward_tiles(n):
-            cut = _triple_intersection(subs[0][n - a], subs[1][n - b], subs[2][n - c])
-            if len(cut) != 2:
-                raise NotGeneric(f"expected a plane at {(a, b, c)}, got dimension {len(cut)}")
-            planes[(a, b, c)] = cut
+            plane = cut(a, b, c)
+            if len(plane) != 2:
+                raise NotGeneric(f"expected a plane at {(a, b, c)}, got dimension {len(plane)}")
+            planes[(a, b, c)] = plane
             # each plane must contain the three lines at its tile corners
             for corner in ((a + 1, b, c), (a, b + 1, c), (a, b, c + 1)):
-                if rank(list(cut) + [lines[corner]]) != 2:
+                if rank(list(plane) + [lines[corner]]) != 2:
                     raise NotGeneric(f"plane {(a, b, c)} misses its corner line {corner}")
     return LineConfig(n, lines, planes)
 

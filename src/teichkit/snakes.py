@@ -23,7 +23,7 @@ scalar) comes from the reversed word the same way, without division.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .encode import SCHEMA, check_schema, scalar_from_json, scalar_to_json
+from .encode import SCHEMA, check_schema, decoding, scalar_from_json, scalar_to_json
 from .errors import DomainError
 from .flags import DegenerateConfiguration, interior_vertices
 from .linalg import _fractions, canonical_vector, mat_mul, mat_prod, solve, transpose
@@ -379,11 +379,12 @@ class FGAssignment:
     @classmethod
     def from_json(cls, doc, mode="rational"):
         check_schema(doc, "fg_assignment")
-        vals = {
-            (e["a"], e["b"], e["c"]): scalar_from_json(e["value"], mode)
-            for e in doc["values"]
-        }
-        return cls(int(doc["n"]), vals)
+        with decoding("fg_assignment"):
+            vals = {
+                (e["a"], e["b"], e["c"]): scalar_from_json(e["value"], mode)
+                for e in doc["values"]
+            }
+            return cls(int(doc["n"]), vals)
 
 
 def _check_value(key, v):

@@ -20,7 +20,7 @@ pinning factors.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .encode import SCHEMA, check_schema, scalar_from_json, scalar_to_json
+from .encode import SCHEMA, check_schema, decoding, scalar_from_json, scalar_to_json
 from .errors import DomainError
 from .flags import interior_vertices
 from .halfplane import exact_sqrt
@@ -194,11 +194,12 @@ class TriangulatedSurface:
     @classmethod
     def from_json(cls, doc, mode="rational"):
         check_schema(doc, "surface")
-        tris = {
-            t: FGAssignment.from_json(a, mode) for t, a in doc["triangles"].items()
-        }
-        gluings = [(tuple(a), tuple(b)) for a, b in doc.get("gluings", ())]
-        return cls(tris, gluings)
+        with decoding("surface"):
+            tris = {
+                t: FGAssignment.from_json(a, mode) for t, a in doc["triangles"].items()
+            }
+            gluings = [(tuple(a), tuple(b)) for a, b in doc.get("gluings", ())]
+            return cls(tris, gluings)
 
 
 # -- path words ---------------------------------------------------------------
@@ -286,7 +287,8 @@ class TrianglePathWord:
     @classmethod
     def from_json(cls, doc):
         check_schema(doc, "triangle_path_word")
-        return cls([tuple(t) for t in doc["tokens"]], int(doc.get("sign", 1)))
+        with decoding("triangle_path_word"):
+            return cls([tuple(t) for t in doc["tokens"]], int(doc.get("sign", 1)))
 
 
 def path_matrix(surf, word):

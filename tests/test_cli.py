@@ -74,8 +74,10 @@ def test_holonomy_error_exits(pants_files, tmp_path, capsys):
         (lambda doc: doc.update(vertices=[]), []),
         (lambda doc: doc.update(edges="s1"), []),
         (lambda doc: doc["edges"]["s1"].update(weight=float("nan")), ["--scalar", "float"]),
+        (lambda doc: doc["edges"]["s1"].update(weight="1e999"), ["--scalar", "float"]),
+        (lambda doc: doc["edges"]["s1"].update(weight=10**400), ["--scalar", "float"]),
     ],
-    ids=["vertices-list", "edges-string", "nan-weight"],
+    ids=["vertices-list", "edges-string", "nan-weight", "huge-literal-weight", "huge-int-weight"],
 )
 def test_holonomy_malformed_graph_exits_2(pants_files, edit, flags, capsys):
     gp, wp = pants_files

@@ -150,6 +150,98 @@ class TestGeneralPosition:
             assert general_position(*moved)
 
 
+def _definition_cut(f1, f2, f3, i1, i2, i3):
+    pair = la.intersect_row_spaces(f1.subspace(i1), f2.subspace(i2))
+    return la.intersect_row_spaces(pair, f3.subspace(i3))
+
+
+def _definition_general_position(f1, f2, f3):
+    """Every F1_i ∩ F2_j ∩ F3_k has the least dimension max(i+j+k-2n, 0)."""
+    n = f1.n
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            pair = la.intersect_row_spaces(f1.subspace(i), f2.subspace(j))
+            for k in range(1, n + 1):
+                if len(la.intersect_row_spaces(pair, f3.subspace(k))) != max(i + j + k - 2 * n, 0):
+                    return False
+    return True
+
+
+def _definition_line_config(f1, f2, f3):
+    n = f1.n
+    lines = {
+        (a, b, c): canonical_vector(_definition_cut(f1, f2, f3, n - a, n - b, n - c)[0])
+        for (a, b, c) in upward_tiles(n)
+    }
+    planes = {
+        (a, b, c): _definition_cut(f1, f2, f3, n - a, n - b, n - c)
+        for (a, b, c) in (downward_tiles(n) if n >= 3 else [])
+    }
+    return LineConfig(n, lines, planes)
+
+
+def _definition_splitting(f, g):
+    n = f.n
+    pairs = {
+        (i, j): la.intersect_row_spaces(f.subspace(i), g.subspace(j))
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    }
+    if any(len(cut) != max(i + j - n, 0) for (i, j), cut in pairs.items()):
+        raise NotTransverse("flags are not transverse")
+    return tuple(canonical_vector(pairs[(i, n - i + 1)][0]) for i in range(1, n + 1))
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except (NotGeneric, NotTransverse) as exc:
+        return type(exc)
+    return out.to_json() if isinstance(out, LineConfig) else out
+
+
+def _random_flag(rng, n, entries):
+    while True:
+        try:
+            return Flag([[rng.choice(entries) for _ in range(n)] for _ in range(n)])
+        except SingularFlag:
+            pass
+
+
+class TestGenericityDefinition:
+    """general_position, line_config and two_flag_splitting against the
+    definitions, written with nested subspace intersections."""
+
+    @pytest.mark.parametrize("entries", [(-1, 0, 1), (-2, -1, 0, 1, 2)], ids=["unit", "two"])
+    def test_random_small_integer_triples(self, entries):
+        rng = random.Random(len(entries))
+        verdicts = []
+        for n, count in ((2, 24), (3, 24), (4, 8), (5, 3)):
+            for _ in range(count):
+                f1, f2, f3 = (_random_flag(rng, n, entries) for _ in range(3))
+                want = _definition_general_position(f1, f2, f3)
+                assert general_position(f1, f2, f3) == want
+                verdicts.append(want)
+                config = _definition_line_config(f1, f2, f3).to_json() if want else NotGeneric
+                assert _outcome(line_config, f1, f2, f3) == config
+                assert _outcome(two_flag_splitting, f1, f2) == _outcome(_definition_splitting, f1, f2)
+        # small entries make many triples degenerate: both verdicts occur often
+        assert 10 <= sum(verdicts) <= len(verdicts) - 10
+
+    def test_non_transverse_pair(self):
+        # G_1 = <e1 + e2> lies in F_2, so F_2 ∩ G_1 is a line, not zero
+        f1, f3 = standard_flag(3), Flag([(1, 2, 3), (0, 1, 4), (0, 0, 1)])
+        f2 = Flag([(1, 1, 0), (0, 0, 1), (1, 0, 0)])
+        assert not _definition_general_position(f1, f2, f3)
+        assert not general_position(f1, f2, f3)
+        with pytest.raises(NotGeneric):
+            line_config(f1, f2, f3)
+        with pytest.raises(NotTransverse):
+            _definition_splitting(f1, f2)
+        with pytest.raises(NotTransverse):
+            two_flag_splitting(f1, f2)
+
+
 class TestSplitting:
     def test_standard_pair(self):
         f1, f2, _ = example_flags(A, B, G)

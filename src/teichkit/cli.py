@@ -25,7 +25,10 @@ from .flags import interior_vertices
 from .laurent import LaurentRing
 from .linalg import is_scalar_matrix, mat_prod, proj_eq
 from .scene import Scene, pants_scene, render_svg
-from .snakes import FGAssignment, side_vertices, transport
+from .snakes import MAX_RANK, FGAssignment, side_vertices, transport
+
+# The most trials one `verify` run accepts: work per invocation stays bounded.
+MAX_TRIALS = 1000
 
 
 def _read_json(path):
@@ -243,10 +246,10 @@ _DEFAULT_TRIALS = {
 
 def _cmd_verify(args):
     trials = args.trials if args.trials is not None else _DEFAULT_TRIALS[args.suite]
-    if trials < 1:
-        raise SchemaError("need at least one trial")
-    if args.n < 2:
-        raise SchemaError("need n >= 2")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise SchemaError(f"need 1 <= trials <= {MAX_TRIALS}")
+    if not 2 <= args.n <= MAX_RANK:
+        raise SchemaError(f"need 2 <= n <= {MAX_RANK}")
     rng = random.Random(args.seed)
     results = SUITES[args.suite](rng, trials, args.n)
     npass = sum(1 for _, ok in results if ok)
@@ -272,12 +275,14 @@ def build_parser():
     v = sub.add_parser("verify", help="run a seeded verification suite")
     v.add_argument("suite", choices=sorted(SUITES))
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--trials", type=int, default=None)
+    v.add_argument(
+        "--trials", type=int, default=None, help=f"number of trials, at most {MAX_TRIALS}"
+    )
     v.add_argument(
         "--n",
         type=int,
         default=3,
-        help="triangle rank n >= 2 for transport/amalgamation; "
+        help=f"triangle rank 2 <= n <= {MAX_RANK} for transport/amalgamation; "
         "each transport costs O(n^3) exact operations",
     )
     v.set_defaults(func=_cmd_verify)

@@ -6,12 +6,21 @@ tag "teichkit/1" marks every top-level document.
 """
 
 import math
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 
 from .errors import DomainError, SchemaError
 
 SCHEMA = "teichkit/1"
+
+# A rational literal may carry an exponent ("1e999"), which Fraction expands
+# into an exact power of ten; without a bound a short string asks for
+# unbounded work.  The mantissa digits plus the exponent's magnitude bound
+# the digits of the numerator and the denominator, and they may not exceed
+# the 4300 digits CPython's int() allows a decimal string by default.
+MAX_LITERAL_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def scalar_to_json(x):
@@ -32,6 +41,7 @@ def scalar_from_json(v, mode="rational"):
     if isinstance(v, bool):
         raise SchemaError("bool is not a scalar")
     if isinstance(v, str):
+        _check_literal_size(v)
         try:
             q = Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
@@ -46,6 +56,21 @@ def scalar_from_json(v, mode="rational"):
             raise SchemaError(f"float {v} is not finite")
         return v
     raise SchemaError(f"cannot decode scalar from {type(v).__name__}")
+
+
+def _check_literal_size(v):
+    m = _EXPONENT.search(v)
+    if m is None:
+        return
+    try:
+        exp = int(m.group(1))
+    except ValueError as exc:
+        raise SchemaError(f"bad rational literal {v[:40]!r}") from exc
+    digits = sum(ch.isdecimal() for ch in v[: m.start()])
+    if digits + abs(exp) > MAX_LITERAL_DIGITS:
+        raise SchemaError(
+            f"rational literal {v[:40]!r} would exceed {MAX_LITERAL_DIGITS} digits"
+        )
 
 
 def _float(q):

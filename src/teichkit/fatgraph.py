@@ -15,8 +15,29 @@ Holonomy words multiply 2x2 matrices left to right:
 R and L have det 1, X(w) has det 1, K has det 0.  R^-1 = -L and L^-1 = -R,
 so inverting a word flips turn letters and multiplies the sign by (-1) per
 turn; PathWord carries that sign explicitly and evaluation applies it, so
-traces are honest SL(2) traces.  The cusp trace of a K-free word A is
-Tr(A K) = -A[0][1].
+traces are honest SL(2) traces.  X(w)^-1 = X(-w).  The cusp trace of a
+K-free word A is Tr(A K) = -A[0][1].
+
+R and L replace the two columns by a signed column and a difference of
+columns, X(w) swaps the columns and scales them, and K keeps one column,
+negated.  FatGraph.holonomy therefore keeps the running product as four
+scalars (a, b, c, d) and applies each letter as its column action, without
+building the letter's matrix:
+
+    R:     (a - b, a, c - d, c)
+    L:     (-b, a - b, -d, c - d)
+    X(w):  (b/w, -a w, d/w, -c w)    X(w)^-1 = X(-w)
+    K:     (-b, 0, -d, 0)
+
+A dense product would spend eight multiplications and four additions per
+letter, most of them by the constants 0 and +-1; over LaurentPoly entries
+each of those is a full polynomial product.  The zeros K writes are a*0
+and c*0, so they have the type of the running entries.  The matrix
+builders turn_right, turn_left, cusp_bounce, cross and cross_inv (and
+FatGraph.generator) remain for callers that need the letters themselves.
+
+An int weight is promoted to Fraction before it is inverted, so a word
+over integer weights evaluates exactly.
 
 Mat2 is the one 2x2 matrix type of the package; halfplane.MobiusMap
 subclasses it for matrices with positive determinant acting on the upper
@@ -24,6 +45,7 @@ half-plane.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .encode import SCHEMA, check_schema, decoding, scalar_from_json, scalar_to_json
 from .errors import DomainError, SchemaError
@@ -43,6 +65,11 @@ class UnknownEdge(InvalidWord):
 
 class ProductNotIdentity(DomainError):
     pass
+
+
+def _scalar(x):
+    """Promote an int to Fraction so that division by it stays exact."""
+    return Fraction(x) if isinstance(x, int) else x
 
 
 class Mat2:
@@ -80,7 +107,7 @@ class Mat2:
         return -self.b
 
     def inverse(self):
-        dt = self.det()
+        dt = _scalar(self.det())
         if dt == 0:
             raise InvalidWord("matrix is singular")
         return Mat2(self.d / dt, -self.b / dt, -self.c / dt, self.a / dt)
@@ -108,10 +135,12 @@ def cusp_bounce():
 
 
 def cross(weight):
+    weight = _scalar(weight)
     return Mat2(0, -weight, 1 / weight, 0)
 
 
 def cross_inv(weight):
+    weight = _scalar(weight)
     return Mat2(0, weight, -1 / weight, 0)
 
 
@@ -263,12 +292,33 @@ class FatGraph:
         return cross(w) if kind == "E" else cross_inv(w)
 
     def holonomy(self, word):
-        m = Mat2.identity()
+        """The product of the word's letters, left to right, times its sign.
+
+        Each letter acts on the columns of the running product (a, b, c, d)
+        as the module docstring lists; equal to the left-to-right product of
+        generator(t) from the identity, entry types included.
+        """
+        a, b, c, d = 1, 0, 0, 1
+        edges = self.edges
         for t in word.tokens:
-            m = m * self.generator(t)
-        if word.sign == -1:
-            m = -m
-        return m
+            if t == "R":
+                a, b, c, d = a - b, a, c - d, c
+            elif t == "L":
+                a, b, c, d = -b, a - b, -d, c - d
+            elif t == "K":
+                a, b, c, d = -b, a * 0, -d, c * 0
+            else:
+                kind, e = t
+                if e not in edges:
+                    raise UnknownEdge(f"unknown edge {e!r}")
+                # the letter is [[0, p], [q, 0]]: X(w) has p = -w, and
+                # X(w)^-1 = X(-w) has p = w; q = -1/p either way
+                w = _scalar(edges[e].weight)
+                p = w if kind == "Einv" else -w
+                q = -1 / p
+                a, b, c, d = b * q, a * p, d * q, c * p
+        m = Mat2(a, b, c, d)
+        return -m if word.sign == -1 else m
 
     def to_json(self):
         return {

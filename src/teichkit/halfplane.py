@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DomainError
-from .fatgraph import Mat2
+from .fatgraph import Mat2, _scalar
 
 
 class DegenerateInput(DomainError):
@@ -62,10 +62,6 @@ class _Infinity:
 
 
 INFINITY = _Infinity()
-
-
-def _scalar(x):
-    return Fraction(x) if isinstance(x, int) else x
 
 
 def exact_sqrt(q):

@@ -19,10 +19,10 @@ from xml.sax.saxutils import escape, quoteattr
 
 from .encode import SCHEMA, check_schema, scalar_from_json, scalar_to_json
 from .errors import DomainError, SchemaError
+from .fatgraph import _scalar
 from .halfplane import (
     INFINITY,
     MobiusMap,
-    _scalar,
     apply_to_geodesic,
     axis,
     common_perpendicular,

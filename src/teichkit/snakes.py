@@ -29,7 +29,18 @@ from .flags import DegenerateConfiguration, interior_vertices
 from .linalg import _fractions, canonical_vector, mat_mul, mat_prod, solve, transpose
 
 
+# The largest rank n an FGAssignment accepts.  Its keys number O(n^2) and a
+# transport costs O(n^3) exact operations, so a rank-32 `verify transport`
+# trial takes seconds, while a short document such as "n": 10**9 would not
+# return; it is refused before any key is enumerated.
+MAX_RANK = 32
+
+
 class IndexOutOfRange(DomainError):
+    pass
+
+
+class RankOutOfRange(DomainError):
     pass
 
 
@@ -336,6 +347,10 @@ class FGAssignment:
 
     def __post_init__(self):
         n, values = self.n, self.values
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise RankOutOfRange(f"rank must be an int, got {type(n).__name__}")
+        if n > MAX_RANK:
+            raise RankOutOfRange(f"rank exceeds MAX_RANK = {MAX_RANK}")
         want = set(side_vertices(n)) | set(interior_vertices(n))
         got = {tuple(int(x) for x in k) for k in values}
         if got != want:

@@ -5,6 +5,7 @@ import pytest
 
 from teichkit import cli
 from teichkit.fatgraph import pair_of_pants
+from teichkit.snakes import MAX_RANK
 
 F = Fraction
 
@@ -76,8 +77,16 @@ def test_holonomy_error_exits(pants_files, tmp_path, capsys):
         (lambda doc: doc["edges"]["s1"].update(weight=float("nan")), ["--scalar", "float"]),
         (lambda doc: doc["edges"]["s1"].update(weight="1e999"), ["--scalar", "float"]),
         (lambda doc: doc["edges"]["s1"].update(weight=10**400), ["--scalar", "float"]),
+        (lambda doc: doc["edges"]["s1"].update(weight="1e100000"), []),
     ],
-    ids=["vertices-list", "edges-string", "nan-weight", "huge-literal-weight", "huge-int-weight"],
+    ids=[
+        "vertices-list",
+        "edges-string",
+        "nan-weight",
+        "huge-literal-weight",
+        "huge-int-weight",
+        "oversized-rational-literal",
+    ],
 )
 def test_holonomy_malformed_graph_exits_2(pants_files, edit, flags, capsys):
     gp, wp = pants_files
@@ -126,6 +135,8 @@ def test_verify_fails_nonzero(capsys, monkeypatch):
 def test_verify_rejects_bad_parameters():
     assert cli.main(["verify", "fricke", "--trials", "0"]) == 2
     assert cli.main(["verify", "transport", "--n", "1"]) == 2
+    assert cli.main(["verify", "fricke", "--trials", str(cli.MAX_TRIALS + 1)]) == 2
+    assert cli.main(["verify", "transport", "--n", str(MAX_RANK + 1)]) == 2
 
 
 def test_render_is_byte_stable(tmp_path, capsys):

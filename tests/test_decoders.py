@@ -3,16 +3,17 @@ SchemaError (malformed document) or DomainError (well formed, mathematically
 invalid), so the CLI's exit codes 2 and 3 mean what they say."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teichkit.encode import SCHEMA
+from teichkit.encode import MAX_LITERAL_DIGITS, SCHEMA, scalar_from_json
 from teichkit.errors import DomainError, SchemaError
 from teichkit.fatgraph import FatGraph, PathWord
 from teichkit.flags import Flag, LineConfig, SingularFlag
 from teichkit.scene import Scene
-from teichkit.snakes import FGAssignment, NonpositiveVariable
+from teichkit.snakes import MAX_RANK, FGAssignment, NonpositiveVariable, RankOutOfRange
 from teichkit.surface import TrianglePathWord, TriangulatedSurface
 
 # kind -> (decoder, whether it takes a scalar mode, the fields it reads)
@@ -34,13 +35,14 @@ WORDS = [
     "c", "value", "kind", "point", "circle", "geodesic", "p", "q", "y", "r",
 ]
 
-# Numbers stay small: FGAssignment enumerates O(n^2) keys for its rank n,
-# so a huge n (1e300 as well as 10**9) is a question of bounded work, not of
-# totality.  Python's json module also parses NaN and Infinity.
+# 10**9 stands for a huge rank n, which FGAssignment refuses before it
+# enumerates its O(n^2) keys.  Python's json module also parses NaN and
+# Infinity.
 JSON = st.recursive(
     st.none()
     | st.booleans()
     | st.integers(-3, 9)
+    | st.just(10**9)
     | st.floats(-9, 9)
     | st.sampled_from([math.nan, math.inf, -math.inf])
     | st.text(max_size=4)
@@ -60,7 +62,7 @@ def documents(kind, fields):
 def test_from_json_is_total(kind):
     decode, takes_mode, fields = DECODERS[kind]
 
-    @settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=20)
     @given(documents(kind, fields), st.sampled_from(["rational", "float"]))
     def check(doc, mode):
         try:
@@ -114,3 +116,30 @@ def test_domain_errors_pass_through():
     ]
     with pytest.raises(NonpositiveVariable):
         FGAssignment.from_json({"schema": SCHEMA, "kind": "fg_assignment", "n": 2, "values": values})
+
+
+@pytest.mark.parametrize("n", [10**9, 1e300, MAX_RANK + 1])
+def test_huge_rank_is_refused_up_front(n):
+    doc = {"schema": SCHEMA, "kind": "fg_assignment", "n": n, "values": []}
+    with pytest.raises(RankOutOfRange):
+        FGAssignment.from_json(doc)
+    with pytest.raises(RankOutOfRange):
+        FGAssignment(n, {})
+
+
+@pytest.mark.parametrize("n", [2.5, "3", True])
+def test_rank_must_be_an_int(n):
+    with pytest.raises(RankOutOfRange):
+        FGAssignment(n, {})
+
+
+@pytest.mark.parametrize("literal", ["1e100000", "1e-100000", "1.5e4300", "1" * 4300 + "e1"])
+def test_rational_literal_size_is_bounded(literal):
+    with pytest.raises(SchemaError):
+        scalar_from_json(literal)
+
+
+def test_rational_literals_within_the_bound_decode():
+    assert scalar_from_json("1e999") == 10**999
+    assert scalar_from_json("-2.5e-999") == Fraction(-25, 10**1000)
+    assert scalar_from_json(f"1e{MAX_LITERAL_DIGITS - 1}") == 10 ** (MAX_LITERAL_DIGITS - 1)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teichkit.errors import SchemaError
 from teichkit.fatgraph import (
@@ -248,3 +249,89 @@ def test_holonomy_is_scalar_mode_agnostic():
         mf = g_float.holonomy(loops[k])
         for xe, xf in zip(me.entries(), mf.entries()):
             assert xf == pytest.approx(float(xe), rel=1e-12, abs=1e-12)
+
+
+# -- holonomy as column operations ---------------------------------------------
+
+LETTERS = ["R", "L", "K"] + [(k, e) for k in ("E", "Einv") for e in ("s1", "s2", "s3")]
+K_FREE = [t for t in LETTERS if t != "K"]
+RING = LaurentRing("x", "y")
+
+
+def dense_holonomy(graph, word):
+    """The reference: the left-to-right product of the letters' matrices."""
+    m = Mat2.identity()
+    for t in word.tokens:
+        m = m * graph.generator(t)
+    return -m if word.sign == -1 else m
+
+
+@pytest.mark.parametrize("mode", ["rational", "laurent", "float"])
+def test_holonomy_equals_dense_product(mode):
+    rng = random.Random(5)
+    weight = {
+        "rational": lambda: F(rng.randint(1, 9), rng.randint(1, 9)),
+        "laurent": lambda: RING.monomial(
+            F(rng.randint(1, 5), rng.randint(1, 5)), x=rng.randint(-2, 2), y=rng.randint(-2, 2)
+        ),
+        "float": lambda: rng.uniform(0.2, 5.0),
+    }[mode]
+    for _ in range(150):
+        g, _ = pair_of_pants(weight(), weight(), weight())
+        tokens = tuple(rng.choice(LETTERS) for _ in range(rng.randint(0, 12)))
+        word = PathWord(tokens, rng.choice((1, -1)))
+        got, want = g.holonomy(word).entries(), dense_holonomy(g, word).entries()
+        # float: == ignores the sign of a zero, where the two forms may differ
+        assert got == want
+        if mode != "float":
+            assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def test_integer_weights_evaluate_exactly():
+    g_int, loops = pair_of_pants(2, 3, 5)
+    g_exact, _ = pair_of_pants(F(2), F(3), F(5))
+    words = list(loops.values()) + [w.inverse() for w in loops.values()]
+    words.append(PathWord((("Einv", "s1"), "K", "L", ("E", "s3"))))
+    for word in words:
+        got = g_int.holonomy(word).entries()
+        assert all(type(x) is F for x in got)
+        assert got == g_exact.holonomy(word).entries()
+    inv = Mat2(1, 1, -1, 0).inverse()
+    assert inv.entries() == (0, -1, 1, 1) and all(type(x) is F for x in inv.entries())
+    assert type(cross(2).c) is F and type(cross_inv(2).c) is F
+
+
+RATIONALS = st.fractions(F(1, 9), 9, max_denominator=9)
+LAURENTS = st.builds(
+    lambda q, i, j: RING.monomial(q, x=i, y=j), RATIONALS, st.integers(-2, 2), st.integers(-2, 2)
+)
+GRAPHS = (
+    st.sampled_from([RATIONALS, LAURENTS])
+    .flatmap(lambda w: st.tuples(w, w, w))
+    .map(lambda ws: pair_of_pants(*ws)[0])
+)
+
+
+def words(letters):
+    tokens = st.lists(st.sampled_from(letters), max_size=8).map(tuple)
+    return st.builds(PathWord, tokens, st.sampled_from((1, -1)))
+
+
+@settings(max_examples=60)
+@given(GRAPHS, words(LETTERS), words(LETTERS))
+def test_holonomy_is_multiplicative(g, w1, w2):
+    assert g.holonomy(w1 * w2) == g.holonomy(w1) * g.holonomy(w2)
+
+
+@settings(max_examples=60)
+@given(GRAPHS, words(K_FREE))
+def test_holonomy_of_the_inverse_word_is_the_inverse(g, w):
+    assert g.holonomy(w) * g.holonomy(w.inverse()) == Mat2.identity()
+
+
+@settings(max_examples=60)
+@given(GRAPHS, words(K_FREE), words(K_FREE))
+def test_skein_relation_holds_for_every_word_pair(g, wa, wb):
+    a, b = g.holonomy(wa), g.holonomy(wb)
+    binv = g.holonomy(wb.inverse())
+    assert (a * b).trace() + (a * binv).trace() == a.trace() * b.trace()

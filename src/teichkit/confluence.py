@@ -10,14 +10,13 @@ Everything here is exact: eps is a formal generator, limits are coefficient
 extraction, and the one substitution used is monomial.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
 from .errors import DomainError
 from .fatgraph import EdgeData, FatGraph, PathWord, four_holed_sphere, trace_coordinates
-from .laurent import LaurentPoly, LaurentRing
+from .laurent import LaurentRing
 
 
 class DivergesFaster(DomainError):

@@ -155,8 +155,8 @@ class PathWord:
     sign: int = 1
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise InvalidWord(f"sign must be +-1, got {self.sign}")
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise InvalidWord(f"sign must be +-1, got {self.sign!r}")
         for t in self.tokens:
             if isinstance(t, str):
                 if t not in ("R", "L", "K"):

@@ -26,6 +26,7 @@ from .linalg import (
     mat,
     rank,
     row_space,
+    rref,
     solve,
     transpose,
 )
@@ -243,6 +244,12 @@ def general_position(f1, f2, f3):
     in that basis, dim(F1_{n-a} ∩ F2_{n-b} ∩ F3_k) = k - rank M[:k, C], which
     is minimal for every k iff the minor det M[:|C|, C] is not zero.  These
     minors are the pivots of one elimination per a (``_block_rows``).
+
+    Dually (Fock-Goncharov, Publ. IHÉS 103 (2006), §9): with F_i* the
+    annihilator of F_{n-i} (rows: F^-1's columns, reversed) and Δ_{a,b,c} the
+    det of the first a, b, c rows of F1*, F2*, F3* stacked, this holds iff
+    every Δ_{a,b,c}(F*) with a+b+c = n is nonzero, as the annihilator of
+    F1_{n-a} ∩ F2_{n-b} ∩ F3_{n-c} is F1*_a + F2*_b + F3*_c.
     """
     if not (f1.n == f2.n == f3.n):
         raise DimensionMismatch("flags live in different dimensions")
@@ -281,12 +288,12 @@ def projective_basis_vectors(lines, weights):
     w = _fractions(weights)
     if len(w) != n or any(x == 0 for x in w):
         raise NotProjectiveBasis("weights must be n nonzero scalars")
-    for k in range(n + 1):
-        subset = gens[:k] + gens[k + 1 :]
-        if rank(subset) != n:
-            raise NotProjectiveBasis("some n of the lines do not span")
+    # any n of the lines span iff the first n do and the last line has a
+    # nonzero coefficient on each of them
+    if rank(gens[:n]) != n:
+        raise NotProjectiveBasis("some n of the lines do not span")
     coeffs = solve(transpose(gens[:n]), gens[n])
-    if coeffs is None or any(c == 0 for c in coeffs):
+    if any(c == 0 for c in coeffs):
         raise NotProjectiveBasis("last line is not a full mix of the others")
     vecs = [tuple(c / wi * x for x in g) for c, wi, g in zip(coeffs, w, gens)]
     lead = next(x for x in vecs[0] if x != 0)
@@ -401,7 +408,12 @@ def triple_ratio(config, vertex):
 
     of 3x3 determinants taken in any basis of that subspace, where A,B,C are
     the corner lines and AB,BC,CA the intermediate ones.  The value does not
-    depend on the basis nor on the scaling of any generator.
+    depend on the basis nor on the scaling of any generator.  In the
+    reduced echelon basis of the span a line's coordinates are its entries
+    at the pivot columns.  For a generic triple F, with F* and Δ as in
+    ``general_position``, triple_ratio(line_config(F), (a,b,c)) is 1/X(F*),
+    Fock-Goncharov's X = Δ_{a+1,b-1,c} Δ_{a,b+1,c-1} Δ_{a-1,b,c+1} /
+    (Δ_{a+1,b,c-1} Δ_{a-1,b+1,c} Δ_{a,b-1,c+1}).
     """
     a, b, c = vertex
     if a + b + c != config.n or min(a, b, c) < 1:
@@ -414,19 +426,13 @@ def triple_ratio(config, vertex):
         "C": (a - 1, b - 1, c + 1),
         "CA": (a, b - 1, c),
     }
-    gens = {t: config.lines[k] for t, k in keys.items()}
-    span = row_space(list(gens.values()))
-    if len(span) != 3:
+    gens = {t: _fractions(config.lines[k]) for t, k in keys.items()}
+    _, pivots = rref(list(gens.values()))
+    if len(pivots) != 3:
         raise DegenerateConfiguration(
-            f"lines around {vertex} span dimension {len(span)}, expected 3"
+            f"lines around {vertex} span dimension {len(pivots)}, expected 3"
         )
-    st = transpose(span)
-    coords = {}
-    for t, g in gens.items():
-        x = solve(st, g)
-        if x is None:
-            raise DegenerateConfiguration(f"line {keys[t]} escapes the local 3-space")
-        coords[t] = x
+    coords = {t: [g[p] for p in pivots] for t, g in gens.items()}
 
     def d3(p, q, r):
         return det((coords[p], coords[q], coords[r]))
@@ -442,19 +448,16 @@ def pencil_cross_ratio(l1, l2, l3, l4):
     """Cross ratio of four distinct coplanar lines through the origin.
 
     The four generators must span exactly a 2-dim subspace.  Each line is
-    mapped to its slope in a fixed echelon basis of that subspace and the
-    boundary cross ratio of the four slopes is returned; the result does not
-    depend on the basis choice.
+    mapped to its slope in the reduced echelon basis of that subspace (read
+    off its entries at the two pivot columns) and the boundary cross ratio
+    of the four slopes is returned; the result does not depend on the basis.
     """
     gens = [_fractions(v) for v in (l1, l2, l3, l4)]
-    span = row_space(gens)
-    if len(span) > 2:
+    _, pivots = rref(gens)
+    if len(pivots) > 2:
         raise NotCoplanar("lines do not lie in a common plane")
-    if len(span) < 2:
+    if len(pivots) < 2:
         raise DegenerateConfiguration("lines span less than a plane")
-    st = transpose(span)
-    slopes = []
-    for g in gens:
-        x, y = solve(st, g)
-        slopes.append(INFINITY if x == 0 else y / x)
+    p, q = pivots
+    slopes = [INFINITY if g[p] == 0 else g[q] / g[p] for g in gens]
     return boundary_cross_ratio(*slopes)

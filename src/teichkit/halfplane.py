@@ -13,7 +13,6 @@ rational; square roots try an exact rational root first and fall back to
 float.  Distances and angles are genuinely transcendental and return float.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum

@@ -2,11 +2,15 @@
 
 A snake is a path of n upward tiles descending from a corner of the lattice
 triangle to the opposite side.  Walking a snake through the orientation rule
-of flags.snake_basis produces a projective basis; flipping snake segments
+of snake_basis produces a projective basis; flipping snake segments
 (moves I and II) multiplies that basis by explicit elementary matrices.  The
 composite words, with Fock-Goncharov variables inserted at the white lattice
 vertices swept by move II and at the side vertices, are the transport
 matrices between the three sides of a triangle of flags.
+
+The sweep from side 12 to side 31 is fixed by n: move II at round j and
+position k sweeps the white vertex (n-1-k, n-1-j, k+j+2-n), so
+transport_word writes its word in closed form.
 
 All matrices are unnormalized projective representatives: the diagonal
 factors H are stored without the determinant-fixing fractional powers, so
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .encode import SCHEMA, check_schema, decoding, scalar_from_json, scalar_to_json
-from .errors import DomainError
+from .errors import DomainError, SchemaError
 from .flags import DegenerateConfiguration, interior_vertices
 from .linalg import _fractions, canonical_vector, mat_mul, mat_prod, solve, transpose
 
@@ -262,21 +266,6 @@ def snake_basis(config, snake, first=None):
 # -- transport words ----------------------------------------------------------
 
 
-def _sweep_schedule(n):
-    """Chronological move list carrying side 12 to the reverse of side 31.
-
-    Move I is applied first; then for each j the snake is pushed one rank
-    deeper with moves II at descending starting position, each round closed
-    by a move I.  Yields ("I",) and ("II", k) tokens.
-    """
-    moves = [("I",)]
-    for j in range(1, n - 1):
-        for k in range(n - 1 - j, n - 1):
-            moves.append(("II", k))
-        moves.append(("I",))
-    return moves
-
-
 def _rotate_key(key, times):
     a, b, c = key
     for _ in range(times % 3):
@@ -291,28 +280,23 @@ def transport_word(n, which):
     factors left to right, with each vertex replaced by its Fock-Goncharov
     value, is the transport matrix.  which = 1 transports side 12 to side
     31; 2 and 3 are its cyclic rotations.
+
+    Between the side factors sits the sweep from side 12 to the reverse of
+    side 31, read right to left as moves compose: a move I, L(n-1), then
+    rounds j = 1, ..., n-2, each the moves II at k = n-1-j, ..., n-2,
+    L(k) H(k+1, (n-1-k, n-1-j, k+j+2-n)), and a move I (move_one, move_two).
     """
     if n < 2:
         raise IndexOutOfRange("transport needs n >= 2")
     if which not in (1, 2, 3):
         raise IndexOutOfRange(f"which must be 1, 2 or 3, got {which}")
-    tiles = boundary_snake_12(n).tiles
-    units = []
-    for mv in _sweep_schedule(n):
-        if mv[0] == "I":
-            tiles, _ = _flip(tiles, n - 1)
-            units.append((("L", n - 1),))
-        else:
-            k = mv[1]
-            tiles, white = _flip(tiles, k)
-            units.append((("L", k), ("H", k + 1, white)))
-    assert tiles == tuple(reversed(boundary_snake_31(n).tiles))
     word = [("S",)]
     word += [("H", n - k, (k, 0, n - k)) for k in range(1, n)]
-    # moves compose right to left, so later moves sit further left; each
-    # move's own factors stay in display order within the unit
-    for unit in reversed(units):
-        word.extend(unit)
+    for j in range(n - 2, 0, -1):
+        word.append(("L", n - 1))
+        for k in range(n - 2, n - 2 - j, -1):
+            word += [("L", k), ("H", k + 1, (n - 1 - k, n - 1 - j, k + j + 2 - n))]
+    word.append(("L", n - 1))
     word += [("H", k, (n - k, k, 0)) for k in range(1, n)]
     rot = which - 1
     return [
@@ -347,10 +331,7 @@ class FGAssignment:
 
     def __post_init__(self):
         n, values = self.n, self.values
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise RankOutOfRange(f"rank must be an int, got {type(n).__name__}")
-        if n > MAX_RANK:
-            raise RankOutOfRange(f"rank exceeds MAX_RANK = {MAX_RANK}")
+        _check_rank(n)
         want = set(side_vertices(n)) | set(interior_vertices(n))
         got = {tuple(int(x) for x in k) for k in values}
         if got != want:
@@ -377,6 +358,7 @@ class FGAssignment:
 
     @classmethod
     def constant(cls, n, value=Fraction(1)):
+        _check_rank(n)
         keys = side_vertices(n) + interior_vertices(n)
         return cls(n, {k: value for k in keys})
 
@@ -399,7 +381,17 @@ class FGAssignment:
                 (e["a"], e["b"], e["c"]): scalar_from_json(e["value"], mode)
                 for e in doc["values"]
             }
-            return cls(int(doc["n"]), vals)
+            n = doc["n"]
+            if not isinstance(n, (int, float)):
+                raise SchemaError(f"rank must be a JSON number, got {type(n).__name__}")
+            return cls(n, vals)
+
+
+def _check_rank(n):
+    if type(n) is not int:
+        raise RankOutOfRange(f"rank must be an int, got {type(n).__name__}")
+    if n > MAX_RANK:
+        raise RankOutOfRange(f"rank exceeds MAX_RANK = {MAX_RANK}")
 
 
 def _check_value(key, v):

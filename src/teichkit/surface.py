@@ -20,7 +20,7 @@ pinning factors.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .encode import SCHEMA, check_schema, decoding, scalar_from_json, scalar_to_json
+from .encode import SCHEMA, check_schema, decoding
 from .errors import DomainError
 from .flags import interior_vertices
 from .halfplane import exact_sqrt
@@ -242,7 +242,7 @@ class TrianglePathWord:
         for a, b in zip(toks, toks[1:]):
             if a[0] == b[0]:
                 raise MalformedWord(f"adjacent {a[0]} tokens break the alternation")
-        if self.sign not in (1, -1):
+        if type(self.sign) is not int or self.sign not in (1, -1):
             raise MalformedWord(f"sign must be +1 or -1, got {self.sign!r}")
         object.__setattr__(self, "tokens", tuple(toks))
 
@@ -288,7 +288,7 @@ class TrianglePathWord:
     def from_json(cls, doc):
         check_schema(doc, "triangle_path_word")
         with decoding("triangle_path_word"):
-            return cls([tuple(t) for t in doc["tokens"]], int(doc.get("sign", 1)))
+            return cls([tuple(t) for t in doc["tokens"]], doc.get("sign", 1))
 
 
 def path_matrix(surf, word):

@@ -127,6 +127,35 @@ def test_huge_rank_is_refused_up_front(n):
         FGAssignment(n, {})
 
 
+# Documents that decode, each with one field that must hold a JSON integer.
+RANK2_VALUES = [
+    {"a": a, "b": b, "c": c, "value": "1/1"} for a, b, c in ((1, 1, 0), (0, 1, 1), (1, 0, 1))
+]
+INTEGER_FIELDS = {
+    "fg-rank": (
+        FGAssignment.from_json, {"kind": "fg_assignment", "n": 2, "values": RANK2_VALUES}, "n"
+    ),
+    "tpw-sign": (
+        TrianglePathWord.from_json,
+        {"kind": "triangle_path_word", "tokens": [["S"]], "sign": -1},
+        "sign",
+    ),
+    "pathword-sign": (
+        PathWord.from_json, {"kind": "pathword", "tokens": ["R"], "sign": -1}, "sign"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_FIELDS))
+@pytest.mark.parametrize("value", [2.5, -1.5, 2.0, -1.0, "2", "-1", True], ids=repr)
+def test_numbers_are_not_coerced(case, value):
+    decode, doc, field = INTEGER_FIELDS[case]
+    doc = {"schema": SCHEMA, **doc}
+    assert decode(doc) is not None
+    with pytest.raises((SchemaError, DomainError)):
+        decode({**doc, field: value})
+
+
 @pytest.mark.parametrize("n", [2.5, "3", True])
 def test_rank_must_be_an_int(n):
     with pytest.raises(RankOutOfRange):

@@ -242,6 +242,53 @@ class TestGenericityDefinition:
             two_flag_splitting(f1, f2)
 
 
+def _dual(f):
+    """The rows of F*, F_i* the annihilator of F_{n-i}: the columns of F^-1
+    in reverse order, here those of adj(F), which span the same lines."""
+    adj = la.adjugate(f.rows)
+    return [tuple(row[j] for row in adj) for j in reversed(range(f.n))]
+
+
+def _fg_triple_ratio(rows, a, b, c):
+    """Fock-Goncharov's X_{a,b,c} of a flag triple given by its row lists."""
+
+    def delta(i, j, k):
+        return la.det(list(rows[0][:i]) + list(rows[1][:j]) + list(rows[2][:k]))
+
+    num = delta(a + 1, b - 1, c) * delta(a, b + 1, c - 1) * delta(a - 1, b, c + 1)
+    return num / (delta(a + 1, b, c - 1) * delta(a - 1, b + 1, c) * delta(a, b - 1, c + 1))
+
+
+class TestTripleRatioDefinition:
+    """triple_ratio against Fock-Goncharov's triple ratio of the dual triple,
+    written with cofactor determinants (Publ. IHÉS 103 (2006), §9)."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_inverse_of_the_dual_fg_triple_ratio(self, n):
+        rng = random.Random(n)
+        generic = 0
+        while generic < 12:
+            flags = [_random_flag(rng, n, (-2, -1, 0, 1, 2)) for _ in range(3)]
+            if not general_position(*flags):
+                continue
+            generic += 1
+            config = line_config(*flags)
+            duals = [_dual(f) for f in flags]
+            for v in interior_vertices(n):
+                assert triple_ratio(config, v) == 1 / _fg_triple_ratio(duals, *v)
+
+    def test_coplanar_triple(self):
+        # generic, and its ratio -1 is FG's value: at n = 3 the minor
+        # Δ_{1,1,1} does not enter X
+        f1 = Flag([(0, 0, 2), (0, -1, 1), (1, -1, 2)])
+        f2 = Flag([(2, 0, 0), (1, 1, 0), (0, 1, 2)])
+        f3 = Flag([(2, 0, 1), (-1, 1, 2), (0, 1, 1)])
+        assert general_position(f1, f2, f3)
+        duals = [_dual(f) for f in (f1, f2, f3)]
+        assert triple_ratio(line_config(f1, f2, f3), (1, 1, 1)) == -1
+        assert _fg_triple_ratio(duals, 1, 1, 1) == -1
+
+
 class TestSplitting:
     def test_standard_pair(self):
         f1, f2, _ = example_flags(A, B, G)

@@ -4,7 +4,8 @@ Each value class is frozen: assigning to any of its fields, derived ones
 included, raises AttributeError; two constructions from the same input
 compare equal and a different input compares unequal; hashability is part of
 each class's contract (a flag, a snake and a path word are hashable, the
-dict-holding classes are not).
+dict-holding classes are not).  Two source guards ride along: no class
+overrides __setattr__, and no module keeps an import it does not use.
 """
 
 import ast
@@ -77,3 +78,25 @@ def test_no_class_overrides_setattr():
                     if isinstance(item, ast.FunctionDef) and item.name == "__setattr__":
                         offenders.append(f"{path.name}:{item.lineno} {node.name}")
     assert not offenders, f"freeze with @dataclass(frozen=True) instead: {offenders}"
+
+
+def test_no_unused_imports():
+    # an import line marked noqa (the package's re-exports) is exempt
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text, str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imports = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and "noqa" not in lines[node.lineno - 1]
+        ]
+        for node in imports:
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, f"unused imports: {unused}"

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from teichkit import snakes
 from teichkit.fatgraph import cross, turn_left, turn_right
 from teichkit.flags import (
     DegenerateConfiguration,
@@ -32,6 +33,7 @@ from teichkit.snakes import (
     IncompleteAssignment,
     IndexOutOfRange,
     NonpositiveVariable,
+    RankOutOfRange,
     Snake,
     boundary_snake_12,
     boundary_snake_23,
@@ -327,8 +329,30 @@ class TestTransportWord:
             (f[0], f[1], rot(rot(f[2]))) if f[0] == "H" else f for f in w1
         ]
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_closed_form_replays_the_snake_sweep(self, n):
+        # the sweep, one snake at a time: move I, then rounds j of moves II
+        # at k = n-1-j, ..., n-2, each closed by a move I; move I is L(n-1)
+        # and move II is L(k) H(k+1, white) (TestMoves)
+        snake, _ = move_one(boundary_snake_12(n))
+        units = [[("L", n - 1)]]
+        for j in range(1, n - 1):
+            for k in range(n - 1 - j, n - 1):
+                snake, _, white = move_two(snake, k, Q(1))
+                units.append([("L", k), ("H", k + 1, white)])
+            snake, _ = move_one(snake)
+            units.append([("L", n - 1)])
+        assert snake.tiles == tuple(reversed(boundary_snake_31(n).tiles))
+        # moves compose right to left: the last move's factors come first
+        word = [("S",)] + [("H", n - k, (k, 0, n - k)) for k in range(1, n)]
+        word += [f for unit in reversed(units) for f in unit]
+        word += [("H", k, (n - k, k, 0)) for k in range(1, n)]
+        for which in (1, 2, 3):
+            assert transport_word(n, which) == word
+            word = [(f[0], f[1], (f[2][2], f[2][0], f[2][1])) if f[0] == "H" else f for f in word]
+
     def test_interior_labels_cover_all_vertices(self):
-        for n in (3, 4, 5, 6):
+        for n in range(2, 33):
             inner = [
                 f[2]
                 for f in transport_word(n, 1)
@@ -529,6 +553,14 @@ class TestAssignment:
         vals[(3, 0, 0)] = Q(1)
         with pytest.raises(IncompleteAssignment):
             FGAssignment(3, vals)
+
+    def test_constant_checks_the_rank_first(self, monkeypatch):
+        def enumerate_keys(n):
+            raise AssertionError("keys enumerated before the rank check")
+
+        monkeypatch.setattr(snakes, "side_vertices", enumerate_keys)
+        with pytest.raises(RankOutOfRange):
+            FGAssignment.constant(10**9)
 
     def test_key_count(self):
         for n in (2, 3, 4, 5):

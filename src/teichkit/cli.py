@@ -7,6 +7,11 @@ seeded identity-checking suite), render (scene JSON to SVG), pants-scene
 Exit codes: 0 success, 1 a verification trial failed, 2 malformed input
 (bad JSON, schema violations), 3 mathematically invalid input.  The env
 var TEICHKIT_SCALAR picks the default scalar mode for --scalar flags.
+
+The argument parser is built once per process, on the first call of `main`,
+and reused: building it costs over ten times what parsing one command
+line does, and `parse_args` leaves it unchanged, filling a fresh namespace
+from its defaults on every call.  `build_parser` still returns a new one.
 """
 
 import argparse
@@ -304,8 +309,14 @@ def build_parser():
     return p
 
 
+_parser = None
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

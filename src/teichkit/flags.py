@@ -309,6 +309,9 @@ class LineConfig:
     planes: map (a,b,c) with a+b+c = n-2 to a canonical echelon pair spanning
             the matching 2-dim intersection.  Empty when n = 2: the only
             downward tile would carry the whole plane, not a proper subspace.
+
+    A rank n that is not an int (a bool included) is a TypeError, which
+    ``from_json`` reports as a SchemaError; the rank is never coerced.
     """
 
     n: int
@@ -318,6 +321,8 @@ class LineConfig:
     __hash__ = None
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise TypeError(f"rank must be an int, got {type(self.n).__name__}")
         object.__setattr__(self, "lines", dict(self.lines))
         object.__setattr__(self, "planes", dict(self.planes))
 
@@ -353,7 +358,7 @@ class LineConfig:
                 )
                 for k, v in doc["planes"].items()
             }
-            return cls(int(doc["n"]), lines, planes)
+            return cls(doc["n"], lines, planes)
 
 
 def line_config(f1, f2, f3):

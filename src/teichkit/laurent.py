@@ -1,25 +1,35 @@
 """Exact multivariate Laurent polynomials over the rationals.
 
-Coefficients are fractions.Fraction, exponent vectors are integer tuples
-keyed to a fixed tuple of generator names.  This is deliberately a small
-ring: addition, multiplication, integer powers, division by monomials,
-monomial substitution, and regrouping by the exponent of one generator.
-There is no general polynomial division and no GCD; nothing downstream
-needs them, and keeping the ring small keeps exactness easy to audit.
+Exponent vectors are integer tuples keyed to a fixed tuple of generator
+names.  A coefficient is stored as an int when it is integral and as a
+fractions.Fraction only when it is not (`_coeff` is the one normalizing
+step), so products and sums of integral coefficients never build a
+Fraction.  Values leaving the ring are Fractions: `constant_value`,
+`monomial_parts` and `eval` over rationals return them.
+
+This is deliberately a small ring: addition, multiplication, integer
+powers, division by monomials, monomial substitution, and regrouping by the
+exponent of one generator.  `subs` is monomial only: each generator goes to
+a*x^u, so a term c*x^e goes to c*prod(a_i^e_i)*x^(sum e_i u_i), computed on
+the exponent vector without building a product.  There is no general
+polynomial division and no GCD; nothing downstream needs them, and keeping
+the ring small keeps exactness easy to audit.
 """
 
 from fractions import Fraction
+from operator import add
 
 
 class LaurentError(ArithmeticError):
     pass
 
 
-def _as_coeff(x):
-    if isinstance(x, Fraction):
-        return x
+def _coeff(x):
+    """The stored form of a rational: int when integral, else Fraction."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise LaurentError(f"coefficient must be rational, got {type(x).__name__}")
 
 
@@ -34,30 +44,26 @@ class LaurentRing:
         self.names = tuple(names)
         self.index = {n: i for i, n in enumerate(self.names)}
         self.zero = LaurentPoly(self, {})
-        self.one = LaurentPoly(self, {(0,) * len(self.names): Fraction(1)})
+        self.one = LaurentPoly(self, {(0,) * len(self.names): 1})
 
     def gen(self, name):
         if name not in self.index:
             raise LaurentError(f"no generator {name!r} in ring {self.names}")
         e = [0] * len(self.names)
         e[self.index[name]] = 1
-        return LaurentPoly(self, {tuple(e): Fraction(1)})
+        return LaurentPoly(self, {tuple(e): 1})
 
     def gens(self):
         return tuple(self.gen(n) for n in self.names)
 
     def const(self, q):
-        q = _as_coeff(q)
-        if q == 0:
-            return self.zero
-        return LaurentPoly(self, {(0,) * len(self.names): q})
+        return LaurentPoly(self, {(0,) * len(self.names): _coeff(q)})
 
     def monomial(self, coeff, **exps):
         e = [0] * len(self.names)
         for name, k in exps.items():
             e[self.index[name]] = int(k)
-        c = _as_coeff(coeff)
-        return LaurentPoly(self, {tuple(e): c} if c != 0 else {})
+        return LaurentPoly(self, {tuple(e): _coeff(coeff)})
 
     def __repr__(self):
         return f"LaurentRing{self.names}"
@@ -67,9 +73,10 @@ class LaurentPoly:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
-        # terms: dict[tuple[int,...] -> Fraction], zero coefficients dropped
+        # terms: dict[tuple[int,...] -> int | Fraction], zero coefficients
+        # dropped, integral ones stored as int
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        self.terms = {e: _coeff(c) for e, c in terms.items() if c}
 
     # -- predicates ------------------------------------------------------
 
@@ -87,13 +94,13 @@ class LaurentPoly:
             return Fraction(0)
         if not self.is_constant():
             raise LaurentError(f"not a constant: {self}")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def monomial_parts(self):
         if not self.is_monomial():
             raise LaurentError(f"not a monomial: {self}")
         (e, c), = self.terms.items()
-        return c, e
+        return Fraction(c), e
 
     # -- coercion --------------------------------------------------------
 
@@ -110,7 +117,7 @@ class LaurentPoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(self.ring, out)
 
     __radd__ = __add__
@@ -129,8 +136,8 @@ class LaurentPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(self.ring, out)
 
     __rmul__ = __mul__
@@ -169,32 +176,39 @@ class LaurentPoly:
     # -- substitution and evaluation -------------------------------------
 
     def subs(self, target_ring, mapping):
-        """Map into target_ring sending each generator by name.
+        """Monomial substitution into target_ring, sending each generator by name.
 
-        mapping: name -> LaurentPoly in target_ring (or rational).  Names
-        absent from mapping must exist in target_ring and map to themselves.
-        Negative exponents require the substituted value to be an invertible
-        monomial.
+        mapping: name -> monomial a*x^u in target_ring, or a nonzero
+        rational a (u = 0).  Names absent from mapping must exist in
+        target_ring and map to themselves.  A term c*x^e goes to
+        c*prod(a_i^e_i)*x^(sum e_i u_i); an image that is not a monomial
+        (zero included) raises LaurentError.
         """
-        vals = []
+        images = []
         for name in self.ring.names:
             v = mapping.get(name)
-            if v is None:
-                v = target_ring.gen(name)
-            elif not isinstance(v, LaurentPoly):
-                v = target_ring.const(v)
-            vals.append(v)
-        out = target_ring.zero
+            v = target_ring.gen(name) if v is None else target_ring.zero._coerce(v)
+            if not v.is_monomial():
+                raise LaurentError(f"image of {name} is not a monomial: {v}")
+            (u, a), = v.terms.items()
+            images.append((a, u))
+        out = {}
         for e, c in self.terms.items():
-            term = target_ring.const(c)
-            for v, k in zip(vals, e):
+            x = (0,) * len(target_ring.names)
+            for k, (a, u) in zip(e, images):
                 if k:
-                    term = term * v ** k
-            out = out + term
-        return out
+                    if a != 1:
+                        c = c * Fraction(a) ** k
+                    x = tuple(xi + k * ui for xi, ui in zip(x, u))
+            out[x] = out.get(x, 0) + c
+        return LaurentPoly(target_ring, out)
 
     def eval(self, values):
-        """Numeric evaluation; values maps every needed name to a number."""
+        """Numeric evaluation; values maps every needed name to a number.
+
+        Over rational values the result is a Fraction (the zero polynomial
+        gives the int 0), whatever form the coefficients are stored in.
+        """
         out = 0
         for e, c in self.terms.items():
             term = c
@@ -202,7 +216,7 @@ class LaurentPoly:
                 if k:
                     term = term * values[name] ** k
             out = out + term
-        return out
+        return Fraction(out) if type(out) is int and self.terms else out
 
     def split_by(self, name):
         """Group terms by the exponent of one generator.

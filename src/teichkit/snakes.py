@@ -33,10 +33,10 @@ from .flags import DegenerateConfiguration, interior_vertices
 from .linalg import _fractions, canonical_vector, mat_mul, mat_prod, solve, transpose
 
 
-# The largest rank n an FGAssignment accepts.  Its keys number O(n^2) and a
-# transport costs O(n^3) exact operations, so a rank-32 `verify transport`
-# trial takes seconds, while a short document such as "n": 10**9 would not
-# return; it is refused before any key is enumerated.
+# The largest rank n an FGAssignment accepts (the smallest is 2).  Its keys
+# number O(n^2) and a transport costs O(n^3) exact operations, so a rank-32
+# `verify transport` trial takes seconds, while a short document such as
+# "n": 10**9 would not return; it is refused before any key is enumerated.
 MAX_RANK = 32
 
 
@@ -390,6 +390,8 @@ class FGAssignment:
 def _check_rank(n):
     if type(n) is not int:
         raise RankOutOfRange(f"rank must be an int, got {type(n).__name__}")
+    if n < 2:
+        raise RankOutOfRange(f"rank must be at least 2, got {n}")
     if n > MAX_RANK:
         raise RankOutOfRange(f"rank exceeds MAX_RANK = {MAX_RANK}")
 

@@ -132,6 +132,38 @@ def test_verify_fails_nonzero(capsys, monkeypatch):
     assert "FAIL stub" in out and "0/1 passed" in out
 
 
+def test_main_builds_one_parser(pants_files, capsys, monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return real_build_parser()
+
+    real_build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    monkeypatch.setattr(cli, "_parser", None)
+    gp, wp = pants_files
+    assert cli.main(["verify", "fricke", "--trials", "1"]) == 0
+    assert cli.main(["holonomy", str(gp), str(wp)]) == 0
+    assert cli.main(["verify", "fricke", "--trials", "0"]) == 2
+    assert cli.main(["pants-scene", "2", "1", "3"]) == 0
+    assert len(built) == 1
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_defaults_do_not_leak_between_calls(pants_files, capsys):
+    assert cli.main(["verify", "transport", "--trials", "1", "--n", "4"]) == 0
+    assert "n=4" in capsys.readouterr().out
+    assert cli.main(["verify", "transport", "--trials", "1"]) == 0
+    assert "n=3" in capsys.readouterr().out
+
+    gp, wp = pants_files
+    assert cli.main(["holonomy", str(gp), str(wp), "--scalar", "float"]) == 0
+    assert isinstance(json.loads(capsys.readouterr().out)["trace"], float)
+    assert cli.main(["holonomy", str(gp), str(wp)]) == 0
+    assert json.loads(capsys.readouterr().out)["trace"] == "-226/15"
+
+
 def test_verify_rejects_bad_parameters():
     assert cli.main(["verify", "fricke", "--trials", "0"]) == 2
     assert cli.main(["verify", "transport", "--n", "1"]) == 2

@@ -2,15 +2,19 @@
 SchemaError (malformed document) or DomainError (well formed, mathematically
 invalid), so the CLI's exit codes 2 and 3 mean what they say."""
 
+import contextlib
+import io
+import json
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from teichkit import cli, snakes
 from teichkit.encode import MAX_LITERAL_DIGITS, SCHEMA, scalar_from_json
 from teichkit.errors import DomainError, SchemaError
-from teichkit.fatgraph import FatGraph, PathWord
+from teichkit.fatgraph import FatGraph, PathWord, pair_of_pants
 from teichkit.flags import Flag, LineConfig, SingularFlag
 from teichkit.scene import Scene
 from teichkit.snakes import MAX_RANK, FGAssignment, NonpositiveVariable, RankOutOfRange
@@ -127,6 +131,20 @@ def test_huge_rank_is_refused_up_front(n):
         FGAssignment(n, {})
 
 
+@pytest.mark.parametrize("n", [-5, 0, 1])
+def test_small_rank_is_refused_up_front(n, monkeypatch):
+    def enumerate_keys(n):
+        raise AssertionError("keys enumerated before the rank check")
+
+    monkeypatch.setattr(snakes, "side_vertices", enumerate_keys)
+    monkeypatch.setattr(snakes, "interior_vertices", enumerate_keys)
+    doc = {"schema": SCHEMA, "kind": "fg_assignment", "n": n, "values": []}
+    with pytest.raises(RankOutOfRange):
+        FGAssignment.from_json(doc)
+    with pytest.raises(RankOutOfRange):
+        FGAssignment(n, {})
+
+
 # Documents that decode, each with one field that must hold a JSON integer.
 RANK2_VALUES = [
     {"a": a, "b": b, "c": c, "value": "1/1"} for a, b, c in ((1, 1, 0), (0, 1, 1), (1, 0, 1))
@@ -134,6 +152,9 @@ RANK2_VALUES = [
 INTEGER_FIELDS = {
     "fg-rank": (
         FGAssignment.from_json, {"kind": "fg_assignment", "n": 2, "values": RANK2_VALUES}, "n"
+    ),
+    "lc-rank": (
+        LineConfig.from_json, {"kind": "line_config", "n": 2, "lines": {}, "planes": {}}, "n"
     ),
     "tpw-sign": (
         TrianglePathWord.from_json,
@@ -162,6 +183,15 @@ def test_rank_must_be_an_int(n):
         FGAssignment(n, {})
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, "2", True], ids=repr)
+def test_line_config_rank_must_be_an_int(n):
+    with pytest.raises(TypeError):
+        LineConfig(n, {}, {})
+    doc = {"schema": SCHEMA, "kind": "line_config", "n": n, "lines": {}, "planes": {}}
+    with pytest.raises(SchemaError):
+        LineConfig.from_json(doc)
+
+
 @pytest.mark.parametrize("literal", ["1e100000", "1e-100000", "1.5e4300", "1" * 4300 + "e1"])
 def test_rational_literal_size_is_bounded(literal):
     with pytest.raises(SchemaError):
@@ -172,3 +202,49 @@ def test_rational_literals_within_the_bound_decode():
     assert scalar_from_json("1e999") == 10**999
     assert scalar_from_json("-2.5e-999") == Fraction(-25, 10**1000)
     assert scalar_from_json(f"1e{MAX_LITERAL_DIGITS - 1}") == 10 ** (MAX_LITERAL_DIGITS - 1)
+
+
+# -- the CLI entry point --------------------------------------------------------
+
+PANTS, PANTS_LOOPS = pair_of_pants(Fraction(2), Fraction(3), Fraction(5))
+TOKENS = ["R", "L", "K", "X", ["E", "s1"], ["Einv", "s2"], ["E", "p3"], ["E", "zz"], ["E"]]
+
+
+def graph_files():
+    """Arbitrary JSON, fat-graph-shaped documents and the valid pants graph."""
+    return documents("fatgraph", DECODERS["fatgraph"][2]) | st.just(PANTS.to_json())
+
+
+def word_files():
+    """Arbitrary JSON, path-word-shaped documents and words over the pants letters."""
+    words = st.builds(
+        lambda tokens, sign: {"schema": SCHEMA, "kind": "pathword", "tokens": tokens, "sign": sign},
+        st.lists(st.sampled_from(TOKENS), max_size=6),
+        st.sampled_from([1, -1, 0, 1.0]),
+    )
+    return documents("pathword", DECODERS["pathword"][2]) | words
+
+
+def test_holonomy_cli_exit_codes_are_total(tmp_path):
+    """`holonomy` on any JSON graph and word exits 0, 2 or 3 and prints no traceback."""
+    gp, wp = tmp_path / "graph.json", tmp_path / "word.json"
+    seen = set()
+
+    @settings(max_examples=150)
+    @given(graph_files(), word_files(), st.sampled_from([[], ["--scalar", "float"]]))
+    def check(graph, word, flags):
+        gp.write_text(json.dumps(graph))
+        wp.write_text(json.dumps(word))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["holonomy", str(gp), str(wp), *flags])
+        assert rc in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if rc == 0:
+            assert json.loads(out.getvalue())["kind"] == "holonomy_result"
+        else:
+            assert err.getvalue().split(":")[0].isidentifier()
+        seen.add(rc)
+
+    check()
+    assert seen == {0, 2, 3}

@@ -1,0 +1,164 @@
+"""Property tests for the Laurent ring: ring laws over mixed int and Fraction
+coefficients, the canonical coefficient form, and monomial substitution."""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from teichkit.confluence import limit_coordinates
+from teichkit.laurent import LaurentError, LaurentPoly, LaurentRing
+
+R = LaurentRing("x", "y", "z")
+T = LaurentRing("u", "v")
+
+# Integers and non-integral fractions, so that sums and products cross
+# between the two stored forms in both directions.
+COEFFS = st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=6)
+NONZERO = COEFFS.filter(lambda c: c != 0)
+VALUES = st.fractions(-5, 5, max_denominator=5).filter(lambda q: q != 0)
+
+
+def exponents(ring):
+    return st.tuples(*(st.integers(-2, 2) for _ in ring.names))
+
+
+def polys(ring=R):
+    return st.dictionaries(exponents(ring), COEFFS, max_size=4).map(
+        lambda terms: LaurentPoly(ring, terms)
+    )
+
+
+def monomials(ring):
+    return st.builds(lambda c, e: LaurentPoly(ring, {e: c}), NONZERO, exponents(ring))
+
+
+# Images of x, y, z in T: monomials, or nonzero rational constants.
+IMAGES = st.fixed_dictionaries({name: monomials(T) | NONZERO for name in R.names})
+
+
+def canonical(p):
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        for c in p.terms.values()
+    )
+
+
+@settings(max_examples=50)
+@given(polys(), polys(), polys())
+def test_ring_laws(p, q, r):
+    assert (p + q) + r == p + (q + r)
+    assert p + q == q + p
+    assert (p * q) * r == p * (q * r)
+    assert p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert p + R.zero == p and p * R.one == p
+    assert (p - p).is_zero() and p - q == -(q - p)
+    assert all(canonical(s) for s in (p, p + q, p * q, p * q * r, p - q))
+
+
+@settings(max_examples=50)
+@given(polys(), NONZERO)
+def test_constants_mix_with_polynomials(p, c):
+    assert p * c == p * R.const(c) == c * p
+    assert p + c == R.const(c) + p
+    assert (p * c) / c == p
+
+
+@settings(max_examples=50)
+@given(monomials(R), polys())
+def test_monomial_inverse(m, p):
+    inv = m.inverse()
+    assert m * inv == R.one and canonical(inv)
+    assert (p * m) / m == p
+    assert m ** -2 == inv * inv
+
+
+@settings(max_examples=50)
+@given(polys(), polys(), IMAGES)
+def test_subs_is_a_ring_homomorphism(p, q, images):
+    assert (p + q).subs(T, images) == p.subs(T, images) + q.subs(T, images)
+    assert (p * q).subs(T, images) == p.subs(T, images) * q.subs(T, images)
+    assert canonical(p.subs(T, images))
+
+
+@settings(max_examples=50)
+@given(polys(), IMAGES)
+def test_subs_matches_the_ring_operations(p, images):
+    """c*x^e goes to c * prod(image_i ** e_i), as the ring itself computes it."""
+    expected = T.zero
+    for e, c in p.terms.items():
+        term = T.const(c)
+        for name, k in zip(R.names, e):
+            image = images[name]
+            term = term * (image if isinstance(image, LaurentPoly) else T.const(image)) ** k
+        expected = expected + term
+    assert p.subs(T, images) == expected
+
+
+@settings(max_examples=50)
+@given(polys(), IMAGES, st.fixed_dictionaries({name: VALUES for name in T.names}))
+def test_subs_commutes_with_eval(p, images, values):
+    # eval raises an int value to a negative power as a float, so pull back
+    # Fractions
+    pulled = {
+        name: image.eval(values) if isinstance(image, LaurentPoly) else Fraction(image)
+        for name, image in images.items()
+    }
+    assert p.subs(T, images).eval(values) == p.eval(pulled)
+
+
+@settings(max_examples=50)
+@given(polys(), st.fixed_dictionaries({name: VALUES for name in R.names}))
+def test_eval_returns_fractions(p, values):
+    got = p.eval(values)
+    assert type(got) is (int if p.is_zero() else Fraction)
+
+
+@settings(max_examples=50)
+@given(COEFFS, exponents(R))
+def test_boundary_values_are_fractions(c, e):
+    assert type(R.const(c).constant_value()) is Fraction
+    assert R.const(c).constant_value() == c
+    assert type(R.zero.constant_value()) is Fraction
+    if c != 0:
+        coeff, exps = LaurentPoly(R, {e: c}).monomial_parts()
+        assert type(coeff) is Fraction and (coeff, exps) == (c, e)
+
+
+def test_integral_fractions_are_stored_as_int():
+    p = R.const(Fraction(4, 2)) + R.monomial(Fraction(1, 2), x=1) * 2
+    assert {type(c) for c in p.terms.values()} == {int}
+    assert repr(p) == "x + 2"
+    assert repr(R.monomial(Fraction(-3, 2), y=-1)) == "-3/2*y^-1"
+
+
+@pytest.mark.parametrize(
+    "image",
+    [T.gen("u") + T.gen("v"), T.gen("u") + 1, T.zero, 0, Fraction(0)],
+    ids=["sum", "affine", "zero-poly", "zero-int", "zero-fraction"],
+)
+def test_non_monomial_image_is_refused(image):
+    p = R.gen("x") + R.gen("y")
+    with pytest.raises(LaurentError, match="not a monomial"):
+        p.subs(T, {"x": image, "y": T.gen("u"), "z": T.gen("v")})
+
+
+def test_subs_keeps_unmapped_names_and_checks_rings():
+    s = LaurentRing("x", "y", "z", "t")
+    p = R.gen("x") * R.gen("y") ** -1 + 3
+    assert p.subs(s, {}) == s.gen("x") / s.gen("y") + 3
+    with pytest.raises(LaurentError):
+        p.subs(T, {})
+    with pytest.raises(LaurentError, match="mixed rings"):
+        p.subs(s, {"x": T.gen("u")})
+
+
+def test_limit_coordinates_text_is_pinned():
+    # sha256 of repr(limit_coordinates()) as computed with Fraction coefficients
+    text = repr(limit_coordinates())
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "132f409702852d482a1b66d4d8ccc6c8369812dcc8e9dc179b0023c3d906dc1b"
+    )

@@ -15,7 +15,14 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import DomainError
-from .fatgraph import EdgeData, FatGraph, PathWord, four_holed_sphere, trace_coordinates
+from .fatgraph import (
+    EdgeData,
+    FatGraph,
+    PathWord,
+    _scalar,
+    four_holed_sphere,
+    trace_coordinates,
+)
 from .laurent import LaurentRing
 
 
@@ -72,7 +79,7 @@ class EpsSeries:
     def eval(self, values, eps_value):
         out = 0
         for k, poly in sorted(self.coeffs.items()):
-            out = out + poly.eval(values) * eps_value ** k
+            out = out + poly.eval(values) * _scalar(eps_value) ** k
         return out
 
     def __repr__(self):

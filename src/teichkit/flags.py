@@ -311,7 +311,10 @@ class LineConfig:
             downward tile would carry the whole plane, not a proper subspace.
 
     A rank n that is not an int (a bool included) is a TypeError, which
-    ``from_json`` reports as a SchemaError; the rank is never coerced.
+    ``from_json`` reports as a SchemaError; the rank is never coerced.  A
+    rank below 1, or a key that is not a nonnegative int triple with the
+    right sum, is a DimensionMismatch; keys are checked by arithmetic, never
+    against an enumerated lattice, so a huge n costs nothing.
     """
 
     n: int
@@ -323,8 +326,10 @@ class LineConfig:
     def __post_init__(self):
         if type(self.n) is not int:
             raise TypeError(f"rank must be an int, got {type(self.n).__name__}")
-        object.__setattr__(self, "lines", dict(self.lines))
-        object.__setattr__(self, "planes", dict(self.planes))
+        if self.n < 1:
+            raise DimensionMismatch(f"rank must be at least 1, got {self.n}")
+        object.__setattr__(self, "lines", _lattice_keyed(self.lines, self.n - 1, "line"))
+        object.__setattr__(self, "planes", _lattice_keyed(self.planes, self.n - 2, "plane"))
 
     def __repr__(self):
         return f"LineConfig(n={self.n}, {len(self.lines)} lines, {len(self.planes)} planes)"
@@ -359,6 +364,20 @@ class LineConfig:
                 for k, v in doc["planes"].items()
             }
             return cls(doc["n"], lines, planes)
+
+
+def _lattice_keyed(mapping, total, what):
+    """A copy of mapping, checked to be keyed by (a, b, c) >= 0 with a + b + c = total."""
+    out = dict(mapping)
+    for k in out:
+        if not (
+            type(k) is tuple
+            and len(k) == 3
+            and all(type(x) is int and x >= 0 for x in k)
+            and sum(k) == total
+        ):
+            raise DimensionMismatch(f"{what} key {k!r} is off the lattice a + b + c = {total}")
+    return out
 
 
 def line_config(f1, f2, f3):

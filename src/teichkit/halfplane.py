@@ -80,7 +80,10 @@ def scalar_sqrt(x):
         r = exact_sqrt(x)
         if r is not None:
             return r
-        x = float(x)
+        try:
+            x = float(x)
+        except OverflowError as exc:
+            raise DomainError("radicand is too large for a float") from exc
     if x < 0:
         raise DomainError(f"negative radicand {x}")
     return math.sqrt(x)

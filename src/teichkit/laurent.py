@@ -19,6 +19,8 @@ the ring small keeps exactness easy to audit.
 from fractions import Fraction
 from operator import add
 
+from .fatgraph import _scalar
+
 
 class LaurentError(ArithmeticError):
     pass
@@ -206,15 +208,16 @@ class LaurentPoly:
     def eval(self, values):
         """Numeric evaluation; values maps every needed name to a number.
 
-        Over rational values the result is a Fraction (the zero polynomial
-        gives the int 0), whatever form the coefficients are stored in.
+        Over rational values, int values included, the result is an exact
+        Fraction (the zero polynomial gives the int 0), whatever form the
+        coefficients are stored in.
         """
         out = 0
         for e, c in self.terms.items():
             term = c
             for name, k in zip(self.ring.names, e):
                 if k:
-                    term = term * values[name] ** k
+                    term = term * _scalar(values[name]) ** k
             out = out + term
         return Fraction(out) if type(out) is int and self.terms else out
 

@@ -471,18 +471,23 @@ def pants_scene(e1, e2, e3):
     holonomies must be hyperbolic.
     """
     m1, m2, m3 = pants_maps(e1, e2, e3)
-    a1, a2, a3 = axis(m1), axis(m2), axis(m3)
-    g12 = common_perpendicular(a1, a2)
-    g23 = common_perpendicular(a2, a3)
-    els = [
-        _axis_element(a1, "#b03a3a", "axis1"),
-        _axis_element(a2, "#b03a3a", "axis2"),
-        _axis_element(a3, "#b03a3a", "axis3"),
-        _axis_element(g12, "#2d5fa6", "g12"),
-        _axis_element(apply_to_geodesic(m1, g12), "#2d5fa6", "m1 g12"),
-        _axis_element(g23, "#2d8a57", "g23"),
-        _axis_element(apply_to_geodesic(m3.inverse(), g23), "#2d8a57", "m3inv g23"),
-    ]
+    # Irrational roots come back as floats, and an exact value past the float
+    # range cannot meet one: such shears have no picture in this model.
+    try:
+        a1, a2, a3 = axis(m1), axis(m2), axis(m3)
+        g12 = common_perpendicular(a1, a2)
+        g23 = common_perpendicular(a2, a3)
+        els = [
+            _axis_element(a1, "#b03a3a", "axis1"),
+            _axis_element(a2, "#b03a3a", "axis2"),
+            _axis_element(a3, "#b03a3a", "axis3"),
+            _axis_element(g12, "#2d5fa6", "g12"),
+            _axis_element(apply_to_geodesic(m1, g12), "#2d5fa6", "m1 g12"),
+            _axis_element(g23, "#2d8a57", "g23"),
+            _axis_element(apply_to_geodesic(m3.inverse(), g23), "#2d8a57", "m3inv g23"),
+        ]
+    except OverflowError as exc:
+        raise BadGeometry("the picture at these shears leaves the float range") from exc
     for ax in (a1, a2, a3):
         for e in ax.endpoints():
             if e is not INFINITY:

@@ -18,10 +18,11 @@ results are exact over the rationals and equality of transports is scalar
 equality (linalg.proj_eq).  Bases are stacked as rows and matrices act by
 left multiplication throughout.
 
-A transport is never built as a product of dense factor matrices.  Its word
-is applied factor by factor to a running matrix as column operations, O(n)
-entries per factor and O(n^3) in all, and its adjugate (the inverse up to a
-scalar) comes from the reversed word the same way, without division.
+No transport, and no path word of transports, adjugates (inverses up to a
+scalar) and side changes, is built as a product of dense matrices: _evaluate
+runs the whole factor word once as column operations on a running matrix,
+without division.  H_k(t) scales n-k whole columns, so one transport costs
+about n^4/5 entry products: 896, 12,800 and 190,464 at n = 8, 16 and 32.
 """
 
 from dataclasses import dataclass, field
@@ -34,7 +35,7 @@ from .linalg import _fractions, canonical_vector, mat_mul, mat_prod, solve, tran
 
 
 # The largest rank n an FGAssignment accepts (the smallest is 2).  Its keys
-# number O(n^2) and a transport costs O(n^3) exact operations, so a rank-32
+# number O(n^2) and a transport costs O(n^4) exact operations, so a rank-32
 # `verify transport` trial takes seconds, while a short document such as
 # "n": 10**9 would not return; it is refused before any key is enumerated.
 MAX_RANK = 32
@@ -406,47 +407,60 @@ def _check_value(key, v):
             raise NonpositiveVariable(f"variable at {key} is zero")
 
 
-def _evaluate(n, which, assignment, adjugate):
-    """T_which, or adj(T_which), as column operations on a running matrix.
+def _evaluate(n, steps):
+    """A word of transports, adjugates and side changes, as column operations.
 
-    Each factor F multiplies on the right: L_k adds column k+1 into column k,
-    H_k(t) scales columns k+1..n by t, S reverses the columns with signs
-    (-1)^j (0-indexed j).  adj(AB) = adj(B) adj(A), so the adjugate walks the
-    word backwards with adj(L_k) = I - E_{k+1,k}, adj(H_k(t)) =
-    diag(t^(n-k) x k, t^(n-k-1) x (n-k)) and adj(S) = det(S) S^T = S^T.
-    Nothing divides, so entries may be ring elements such as LaurentPoly.
+    A step is ("S",), the side change, or (which, assignment, inverted): T_which,
+    or adj(T_which) when inverted.  The steps multiply left to right.  They
+    are flattened into one factor word, which runs once on the columns of a
+    running matrix; each factor F multiplies on the right: L_k adds column
+    k+1 into column k, H_k(t) scales columns k+1..n by t, S reverses the
+    columns with signs (-1)^j (0-indexed j).  adj(AB) = adj(B) adj(A), so an
+    adjugate walks its word backwards with adj(L_k) = I - E_{k+1,k},
+    adj(H_k(t)) = diag(t^(n-k) x k, t^(n-k-1) x (n-k)) and adj(S) =
+    det(S) S^T = S^T, whose signs are S's times (-1)^(n-1).  Nothing
+    divides, so entries may be ring elements such as LaurentPoly.
     """
-    if not isinstance(assignment, FGAssignment) or assignment.n != n:
-        raise IncompleteAssignment(f"need a complete assignment for n={n}")
-    word = transport_word(n, which)
-    # Every entry lives in the ring of the widest variable, exactly as in the
-    # dense product of the factors: rationals never widen it.
+    word = []
+    for step in steps:
+        if step == ("S",):
+            word.append(("S", 0))
+            continue
+        which, assignment, inverted = step
+        if not isinstance(assignment, FGAssignment) or assignment.n != n:
+            raise IncompleteAssignment(f"need a complete assignment for n={n}")
+        factors = transport_word(n, which)
+        for f in reversed(factors) if inverted else factors:
+            if f[0] == "S":
+                word.append(("S", (n - 1) % 2 if inverted else 0))
+            elif f[0] == "L":
+                word.append(("L", f[1], inverted))
+            else:
+                word.append(("H", f[1], inverted, assignment[f[2]]))
+    # Every entry lives in the ring of the widest variable of the whole word,
+    # exactly as in the dense product of the factors: rationals never widen it.
     one = Fraction(1)
     for f in word:
-        if f[0] == "H":
-            t = assignment[f[2]]
-            if not isinstance(t, (int, Fraction)):
-                one = one * (t * 0 + 1)
+        if f[0] == "H" and not isinstance(f[3], (int, Fraction)):
+            one = one * (f[3] * 0 + 1)
     zero = one * 0
     cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
-    # S^T's signs are S's signs times (-1)^(n-1)
-    odd = (n - 1) % 2 if adjugate else 0
-    for f in reversed(word) if adjugate else word:
+    for f in word:
         if f[0] == "S":
             cols = [
-                [-x for x in c] if (j + odd) % 2 else c
+                [-x for x in c] if (j + f[1]) % 2 else c
                 for j, c in enumerate(reversed(cols))
             ]
         elif f[0] == "L":
             k = f[1]
             a, b = cols[k - 1], cols[k]
-            if adjugate:
+            if f[2]:
                 cols[k - 1] = [x - y for x, y in zip(a, b)]
             else:
                 cols[k - 1] = [x + y for x, y in zip(a, b)]
         else:
-            k, t = f[1], assignment[f[2]]
-            if adjugate:
+            _, k, inverted, t = f
+            if inverted:
                 p = t ** (n - k - 1)
                 q = p * t
                 for j in range(n):
@@ -464,7 +478,7 @@ def transport(n, which, assignment):
     An exact unnormalized projective representative: T1*T2*T3 is a scalar
     matrix, not the identity on the nose.
     """
-    return _evaluate(n, which, assignment, adjugate=False)
+    return _evaluate(n, [(which, assignment, False)])
 
 
 def transport_adjugate(n, which, assignment):
@@ -473,7 +487,7 @@ def transport_adjugate(n, which, assignment):
     Equal to linalg.adjugate(transport(n, which, assignment)); it is the
     inverse of the transport up to the scalar det(T_which).
     """
-    return _evaluate(n, which, assignment, adjugate=True)
+    return _evaluate(n, [(which, assignment, True)])
 
 
 def standard_matrix_n3(z):

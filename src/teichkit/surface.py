@@ -24,8 +24,8 @@ from .encode import SCHEMA, check_schema, decoding
 from .errors import DomainError
 from .flags import interior_vertices
 from .halfplane import exact_sqrt
-from .linalg import mat_prod, mat_scale
-from .snakes import FGAssignment, elem_s, transport, transport_adjugate
+from .linalg import mat_scale
+from .snakes import FGAssignment, _evaluate
 
 
 class UnknownTriangle(DomainError):
@@ -294,26 +294,24 @@ class TrianglePathWord:
 def path_matrix(surf, word):
     """Evaluate a path word on a surface, projectively, exactly.
 
-    T tokens become transport matrices for the named triangle's assignment;
-    inverted transports become their adjugates (snakes.transport_adjugate,
-    read off the reversed transport word), which are the inverses up to the
-    determinant scalar.  S tokens become the side-change matrix.  The stored
-    sign multiplies the result.
+    T tokens stand for transport matrices for the named triangle's
+    assignment; inverted transports for their adjugates, the inverses up to
+    the determinant scalar.  S tokens stand for the side-change matrix.  The
+    whole word runs once through snakes' column-operation evaluator, and the
+    stored sign multiplies the result.
     """
     if not isinstance(word, TrianglePathWord):
         raise MalformedWord("path_matrix needs a TrianglePathWord")
-    n = surf.n
-    factors = []
+    steps = []
     for t in word.tokens:
         if t == S_TOKEN:
-            factors.append(elem_s(n))
+            steps.append(t)
             continue
         _, tri, i, inverted = t
         if tri not in surf.triangles:
             raise UnknownTriangle(f"word references unknown triangle {tri!r}")
-        evaluate = transport_adjugate if inverted else transport
-        factors.append(evaluate(n, i, surf.triangles[tri]))
-    out = mat_prod(factors, n)
+        steps.append((i, surf.triangles[tri], inverted))
+    out = _evaluate(surf.n, steps)
     if word.sign == -1:
         out = mat_scale(-1, out)
     return out
@@ -409,6 +407,18 @@ def unamalgamate(surf, end_a, end_b, split=None):
 # -- worked surfaces ----------------------------------------------------------
 
 
+def _cylinder_words(first, second):
+    """The cylinder's arcs and core loop, crossing the top triangle as `first`
+    and then as `second` (the same triangle, or two copies of it)."""
+    return {
+        "arc1": TrianglePathWord(["S", t_token("b", 2), "S", t_token(first, 1)]),
+        "arc2": TrianglePathWord([t_token(second, 2), "S", t_token("b", 1), "S"]),
+        "loop": TrianglePathWord(
+            [t_token(first, 1, True), "S", t_token("b", 3), "S", t_token(second, 2, True)]
+        ),
+    }
+
+
 def cylinder_two_cusps(n, assignments):
     """Cylinder with one cusp on each end, from two triangles t and b.
 
@@ -425,20 +435,7 @@ def cylinder_two_cusps(n, assignments):
         {"t": assignments["t"], "b": assignments["b"]},
         [(("t", "31"), ("b", "23")), (("b", "31"), ("t", "23"))],
     )
-    words = {
-        "arc1": TrianglePathWord(["S", t_token("b", 2), "S", t_token("t", 1)]),
-        "arc2": TrianglePathWord([t_token("t", 2), "S", t_token("b", 1), "S"]),
-        "loop": TrianglePathWord(
-            [
-                t_token("t", 1, inverted=True),
-                "S",
-                t_token("b", 3),
-                "S",
-                t_token("t", 2, inverted=True),
-            ]
-        ),
-    }
-    return surf, words
+    return surf, _cylinder_words("t", "t")
 
 
 def cylinder_three_triangle(n, assignments):
@@ -454,20 +451,7 @@ def cylinder_three_triangle(n, assignments):
         {"l": top, "r": top, "b": assignments["b"]},
         [(("l", "31"), ("b", "23")), (("b", "31"), ("r", "23"))],
     )
-    words = {
-        "arc1": TrianglePathWord(["S", t_token("b", 2), "S", t_token("l", 1)]),
-        "arc2": TrianglePathWord([t_token("r", 2), "S", t_token("b", 1), "S"]),
-        "loop": TrianglePathWord(
-            [
-                t_token("l", 1, inverted=True),
-                "S",
-                t_token("b", 3),
-                "S",
-                t_token("r", 2, inverted=True),
-            ]
-        ),
-    }
-    return surf, words
+    return surf, _cylinder_words("l", "r")
 
 
 def four_holed_sphere_fg(n, assignments):

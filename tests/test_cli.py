@@ -212,3 +212,34 @@ def test_pants_scene_stdout_and_errors(capsys, tmp_path):
     out = tmp_path / "scene.json"
     assert cli.main(["pants-scene", "7/5", "2/3", "9/2", "--out", str(out)]) == 0
     json.loads(out.read_text())
+
+
+@pytest.mark.parametrize(
+    "literals, code",
+    [
+        (["1e100000", "2", "3"], 2),
+        (["1e-160", "1e-160", "1e-160"], 3),
+        (["1e-200", "1e-200", "1e-200"], 3),
+        (["2", "2", "1e4299"], 3),
+    ],
+)
+def test_pants_scene_bounds_its_literals(literals, code, capsys):
+    assert cli.main(["pants-scene", *literals]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("SchemaError" if code == 2 else ("BadGeometry", "DomainError"))
+
+
+def test_unwritable_out_is_malformed_input(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    scene_path = tmp_path / "scene.json"
+    assert cli.main(["pants-scene", "2", "3", "5", "--out", str(missing / "x.json")]) == 2
+    assert cli.main(["pants-scene", "2", "3", "5", "--out", str(scene_path)]) == 0
+    assert cli.main(["render", str(scene_path), "--out", str(missing / "x.svg")]) == 2
+    # a label JSON can carry but UTF-8 cannot encode
+    doc = json.loads(scene_path.read_text())
+    doc["elements"][0]["label"] = "\ud800"
+    scene_path.write_text(json.dumps(doc))
+    assert cli.main(["render", str(scene_path), "--out", str(tmp_path / "x.svg")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("SchemaError: cannot write") == 3 and not missing.exists()

@@ -15,8 +15,8 @@ from teichkit import cli, snakes
 from teichkit.encode import MAX_LITERAL_DIGITS, SCHEMA, scalar_from_json
 from teichkit.errors import DomainError, SchemaError
 from teichkit.fatgraph import FatGraph, PathWord, pair_of_pants
-from teichkit.flags import Flag, LineConfig, SingularFlag
-from teichkit.scene import Scene
+from teichkit.flags import DimensionMismatch, Flag, LineConfig, SingularFlag
+from teichkit.scene import Scene, pants_scene
 from teichkit.snakes import MAX_RANK, FGAssignment, NonpositiveVariable, RankOutOfRange
 from teichkit.surface import TrianglePathWord, TriangulatedSurface
 
@@ -192,6 +192,34 @@ def test_line_config_rank_must_be_an_int(n):
         LineConfig.from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "n, lines, planes",
+    [
+        (-5, {}, {}),
+        (0, {}, {}),
+        (3, {"9,9,9": ["1/1", "0/1", "0/1"]}, {}),
+        (3, {"0,0,2": ["1/1", "0/1", "0/1"], "1,1": ["1/1", "0/1", "0/1"]}, {}),
+        (3, {"-1,1,2": ["1/1", "0/1", "0/1"]}, {}),
+        (3, {}, {"0,0,2": [["1/1", "0/1", "0/1"], ["0/1", "1/1", "0/1"]]}),
+        (10**9, {"0,0,0": ["1/1"]}, {}),
+    ],
+    ids=["n-5", "n0", "line-9,9,9", "line-pair", "line-negative", "plane-sum", "huge-n"],
+)
+def test_line_config_is_keyed_on_the_lattice(n, lines, planes):
+    doc = {"schema": SCHEMA, "kind": "line_config", "n": n, "lines": lines, "planes": planes}
+    with pytest.raises(DimensionMismatch):
+        LineConfig.from_json(doc)
+
+
+def test_line_config_on_the_lattice_decodes():
+    line, plane = ["1/1", "0/1", "0/1"], [["1/1", "0/1", "0/1"], ["0/1", "1/1", "0/1"]]
+    doc = {"schema": SCHEMA, "kind": "line_config", "n": 3,
+           "lines": {"0,0,2": line, "2,0,0": line}, "planes": {"0,1,0": plane}}
+    assert set(LineConfig.from_json(doc).lines) == {(0, 0, 2), (2, 0, 0)}
+    assert LineConfig(1, {(0, 0, 0): (Fraction(1),)}, {}).n == 1
+    assert LineConfig(10**9, {}, {}).n == 10**9
+
+
 @pytest.mark.parametrize("literal", ["1e100000", "1e-100000", "1.5e4300", "1" * 4300 + "e1"])
 def test_rational_literal_size_is_bounded(literal):
     with pytest.raises(SchemaError):
@@ -225,6 +253,22 @@ def word_files():
     return documents("pathword", DECODERS["pathword"][2]) | words
 
 
+def run_cli(argv):
+    """Run the CLI in process: its exit code, stdout and stderr.
+
+    Any exit code but 0 (success), 2 (malformed input) or 3 (invalid input)
+    fails, as does a traceback; an error message starts with the error's name.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if rc != 0:
+        assert err.getvalue().split(":")[0].isidentifier()
+    return rc, out.getvalue(), err.getvalue()
+
+
 def test_holonomy_cli_exit_codes_are_total(tmp_path):
     """`holonomy` on any JSON graph and word exits 0, 2 or 3 and prints no traceback."""
     gp, wp = tmp_path / "graph.json", tmp_path / "word.json"
@@ -235,15 +279,79 @@ def test_holonomy_cli_exit_codes_are_total(tmp_path):
     def check(graph, word, flags):
         gp.write_text(json.dumps(graph))
         wp.write_text(json.dumps(word))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli.main(["holonomy", str(gp), str(wp), *flags])
-        assert rc in (0, 2, 3)
-        assert "Traceback" not in err.getvalue()
+        rc, out, _ = run_cli(["holonomy", str(gp), str(wp), *flags])
         if rc == 0:
-            assert json.loads(out.getvalue())["kind"] == "holonomy_result"
-        else:
-            assert err.getvalue().split(":")[0].isidentifier()
+            assert json.loads(out)["kind"] == "holonomy_result"
+        seen.add(rc)
+
+    check()
+    assert seen == {0, 2, 3}
+
+
+# Scalars a scene element may carry: JSON values, rational literals near and
+# past the float range, and the boundary point "inf".
+COORDS = JSON | st.sampled_from(
+    ["inf", "1e308", "-1e309", "1e-320", "1e999", "2/3", 1e308, -1e-300, 0.5, 3]
+)
+ELEMENTS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["geodesic", "horocycle", "circle", "point", "polygon"])},
+    optional={
+        **{f: COORDS for f in ("p", "q", "base", "size", "x", "y", "r")},
+        "vertices": st.lists(st.just("inf") | st.lists(COORDS, max_size=3), max_size=5),
+        "color": st.text(max_size=3) | JSON,
+        "label": st.text(max_size=3) | JSON | st.just("\ud800"),
+    },
+)
+
+
+def scene_files():
+    """Arbitrary JSON, scene-shaped documents and the valid pants scene."""
+    scenes = st.builds(
+        lambda els: {"schema": SCHEMA, "kind": "scene", "elements": els},
+        st.lists(ELEMENTS, max_size=4),
+    )
+    pants = pants_scene(Fraction(2), Fraction(3), Fraction(5)).to_json()
+    return documents("scene", DECODERS["scene"][2]) | scenes | st.just(pants)
+
+
+def test_render_cli_exit_codes_are_total(tmp_path):
+    """`render` of any JSON scene, to a writable path or not, exits 0, 2 or 3."""
+    sp, svg = tmp_path / "scene.json", tmp_path / "scene.svg"
+    seen = set()
+
+    @settings(max_examples=150)
+    @given(scene_files(), st.sampled_from([svg, tmp_path / "missing" / "x.svg"]))
+    def check(scene, out):
+        sp.write_text(json.dumps(scene))
+        rc, _, _ = run_cli(["render", str(sp), "--out", str(out)])
+        if rc == 0:
+            assert svg.read_text().rstrip().endswith("</svg>")
+            svg.unlink()
+        seen.add(rc)
+
+    check()
+    assert seen == {0, 2}
+
+
+LITERALS = st.sampled_from(
+    ["2", "3/7", "1", "0", "-2", "1e-160", "1e160", "1e-400", "1e999", "9e4299",
+     "1e4299", "1e100000", "2/x", "nan", "inf", "1/0", "", "0x10", "1_000"]
+) | st.text(alphabet="0123456789e-/.", min_size=1, max_size=6)
+
+
+def test_pants_scene_cli_exit_codes_are_total(tmp_path):
+    """`pants-scene` on any short literals exits 0, 2 or 3 and prints no traceback."""
+    seen = set()
+
+    @settings(max_examples=150)
+    @given(
+        st.lists(LITERALS, min_size=3, max_size=3),
+        st.sampled_from([[], ["--out", str(tmp_path / "missing" / "x.json")]]),
+    )
+    def check(literals, flags):
+        rc, out, _ = run_cli(["pants-scene", *flags, "--", *literals])
+        if rc == 0:
+            assert json.loads(out)["kind"] == "scene"
         seen.add(rc)
 
     check()

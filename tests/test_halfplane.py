@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from teichkit.errors import DomainError
 from teichkit.fatgraph import Mat2
 from teichkit.halfplane import (
     INFINITY,
@@ -31,6 +32,7 @@ from teichkit.halfplane import (
     hyperbolic_circle,
     parabolic_stabilizer,
     polygon_area,
+    scalar_sqrt,
     stretch_factor,
     translation_length,
 )
@@ -43,6 +45,12 @@ def test_determinant_must_be_positive():
         MobiusMap(1, 0, 0, -1)
     with pytest.raises(NonpositiveDeterminant):
         MobiusMap(1, 2, 2, 4)
+
+
+def test_scalar_sqrt_past_the_float_range_is_a_domain_error():
+    assert scalar_sqrt(F(10**400)) == 10**200
+    with pytest.raises(DomainError, match="too large for a float"):
+        scalar_sqrt(F(10**400 + 1))
 
 
 def test_apply_is_exact_on_rationals():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teichkit.confluence import limit_coordinates
+from teichkit.confluence import CHEW_RING, EpsSeries, limit_coordinates
 from teichkit.laurent import LaurentError, LaurentPoly, LaurentRing
 
 R = LaurentRing("x", "y", "z")
@@ -17,7 +17,7 @@ T = LaurentRing("u", "v")
 # between the two stored forms in both directions.
 COEFFS = st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=6)
 NONZERO = COEFFS.filter(lambda c: c != 0)
-VALUES = st.fractions(-5, 5, max_denominator=5).filter(lambda q: q != 0)
+VALUES = (st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=5)).filter(lambda q: q != 0)
 
 
 def exponents(ring):
@@ -100,10 +100,8 @@ def test_subs_matches_the_ring_operations(p, images):
 @settings(max_examples=50)
 @given(polys(), IMAGES, st.fixed_dictionaries({name: VALUES for name in T.names}))
 def test_subs_commutes_with_eval(p, images, values):
-    # eval raises an int value to a negative power as a float, so pull back
-    # Fractions
     pulled = {
-        name: image.eval(values) if isinstance(image, LaurentPoly) else Fraction(image)
+        name: image.eval(values) if isinstance(image, LaurentPoly) else image
         for name, image in images.items()
     }
     assert p.subs(T, images).eval(values) == p.eval(pulled)
@@ -125,6 +123,15 @@ def test_boundary_values_are_fractions(c, e):
     if c != 0:
         coeff, exps = LaurentPoly(R, {e: c}).monomial_parts()
         assert type(coeff) is Fraction and (coeff, exps) == (c, e)
+
+
+def test_eval_at_int_values_is_exact():
+    assert R.gen("x").inverse().eval({"x": 3}) == Fraction(1, 3)
+    assert type((R.gen("x") ** -2 * R.gen("y")).eval({"x": 2, "y": 1})) is Fraction
+    kap1, eps = CHEW_RING.gen("kap1"), CHEW_RING.gen("eps")
+    series = EpsSeries.from_poly(kap1 / eps + kap1)
+    assert series.eval({"kap1": 3}, 2) == Fraction(9, 2)
+    assert type(series.eval({"kap1": 3}, 2)) is Fraction
 
 
 def test_integral_fractions_are_stored_as_int():

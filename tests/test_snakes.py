@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teichkit import snakes
 from teichkit.fatgraph import cross, turn_left, turn_right
@@ -415,6 +416,21 @@ class TestTransport:
         z = random_assignment(n, 70 + n)
         assert transport(n, 2, z) == transport(n, 1, z.rotated())
         assert transport(n, 3, z) == transport(n, 1, z.rotated().rotated())
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_rotation_equivariance_property(self, data):
+        """T_(i+1)(z) = T_i(rotated z), for transports and their adjugates."""
+        n = data.draw(st.integers(2, 4))
+        keys = side_vertices(n) + interior_vertices(n)
+        values = st.fractions(Q(1, 9), 9, max_denominator=9)
+        z = FGAssignment(
+            n, dict(zip(keys, data.draw(st.lists(values, min_size=len(keys), max_size=len(keys)))))
+        )
+        i = data.draw(st.sampled_from([1, 2]))
+        for evaluate in (transport, transport_adjugate):
+            assert evaluate(n, i + 1, z) == evaluate(n, i, z.rotated())
+        assert transport(n, 1, z) == transport(n, 3, z.rotated())
 
     def test_needs_matching_assignment(self):
         with pytest.raises(IncompleteAssignment):

@@ -4,15 +4,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teichkit.encode import SCHEMA, scalar_from_json
 from teichkit.errors import DomainError, SchemaError
 from teichkit.fatgraph import four_holed_sphere
 from teichkit.flags import interior_vertices
 from teichkit.laurent import LaurentRing
-from teichkit.linalg import is_scalar_matrix, mat_mul, proj_eq
-from teichkit.snakes import FGAssignment, side_vertices, transport
+from teichkit.linalg import adjugate, is_scalar_matrix, mat_mul, mat_prod, mat_scale, proj_eq
+from teichkit.snakes import FGAssignment, elem_s, side_vertices, transport
 from teichkit.surface import (
+    S_TOKEN,
     MalformedWord,
     NotAPerfectSquare,
     NotGlued,
@@ -44,12 +46,137 @@ def rand_assignment(n, rng):
     )
 
 
-def two_triangle(n, rng):
+def two_triangle_surface(n, assignments):
     """L and R glued along their 12 sides; the basic crossing word."""
-    L, R = rand_assignment(n, rng), rand_assignment(n, rng)
-    surf = TriangulatedSurface({"L": L, "R": R}, [(("L", "12"), ("R", "12"))])
-    word = TrianglePathWord([t_token("L", 1), "S", t_token("R", 2)])
-    return surf, word
+    surf = TriangulatedSurface(
+        {"L": assignments["t"], "R": assignments["b"]}, [(("L", "12"), ("R", "12"))]
+    )
+    return surf, {"arc": TrianglePathWord([t_token("L", 1), "S", t_token("R", 2)])}
+
+
+def two_triangle(n, rng):
+    surf, words = two_triangle_surface(
+        n, {"t": rand_assignment(n, rng), "b": rand_assignment(n, rng)}
+    )
+    return surf, words["arc"]
+
+
+# -- path words against the dense product ---------------------------------------
+
+WORKED = {
+    "two_triangle": (two_triangle_surface, "tb"),
+    "cylinder_two_cusps": (cylinder_two_cusps, "tb"),
+    "cylinder_three_triangle": (cylinder_three_triangle, "tb"),
+    "four_holed_sphere_fg": (four_holed_sphere_fg, "lrdc"),
+}
+POSITIVE = st.fractions(Fraction(1, 9), 9, max_denominator=9)
+SYMBOLS = LaurentRing("x", "y", "z")
+
+
+def dense_path_matrix(surf, word):
+    """Reference: the dense product of transports, cofactor adjugates and S."""
+    n = surf.n
+    factors = []
+    for t in word.tokens:
+        if t == S_TOKEN:
+            factors.append(elem_s(n))
+        else:
+            _, tri, i, inverted = t
+            m = transport(n, i, surf.triangles[tri])
+            factors.append(adjugate(m) if inverted else m)
+    out = mat_prod(factors, n)
+    return mat_scale(-1, out) if word.sign == -1 else out
+
+
+@st.composite
+def worked_surfaces(draw, scalars="rational", max_n=4, kinds=tuple(WORKED)):
+    """(surface, words) of a worked surface at rank n <= max_n, with rational,
+    Laurent or float values."""
+    n = draw(st.integers(2, max_n))
+    build, names = WORKED[draw(st.sampled_from(kinds))]
+    keys = side_vertices(n) + interior_vertices(n)
+    if scalars == "laurent":
+        values = POSITIVE | st.sampled_from(SYMBOLS.gens())
+    elif scalars == "float":
+        values = st.floats(0.1, 5.0)
+    else:
+        values = POSITIVE
+    assignments = {
+        name: FGAssignment(
+            n, dict(zip(keys, draw(st.lists(values, min_size=len(keys), max_size=len(keys)))))
+        )
+        for name in names
+    }
+    return build(n, assignments)
+
+
+@st.composite
+def path_words(draw, surf):
+    """Any alternating word over the surface's triangles, inverted transports included."""
+    tris = sorted(surf.triangles)
+    t_tokens = st.builds(t_token, st.sampled_from(tris), st.integers(1, 3), st.booleans())
+    kind = draw(st.booleans())
+    tokens = []
+    for _ in range(draw(st.integers(1, 6))):
+        tokens.append(draw(t_tokens) if kind else "S")
+        kind = not kind
+    return TrianglePathWord(tokens, draw(st.sampled_from([1, -1])))
+
+
+def same_entries(a, b):
+    return a == b and all(type(x) is type(y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+class TestPathMatrixAgainstDenseProduct:
+    """path_matrix runs one column-operation word; the reference multiplies densely."""
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_rational(self, data):
+        surf, _ = data.draw(worked_surfaces("rational"))
+        word = data.draw(path_words(surf))
+        got = path_matrix(surf, word)
+        assert same_entries(got, dense_path_matrix(surf, word))
+        assert all(type(x) is Fraction for row in got for x in row)
+
+    @settings(max_examples=25)
+    @given(st.data())
+    def test_laurent(self, data):
+        surf, _ = data.draw(worked_surfaces("laurent", max_n=3))
+        word = data.draw(path_words(surf))
+        assert same_entries(path_matrix(surf, word), dense_path_matrix(surf, word))
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_float(self, data):
+        surf, _ = data.draw(worked_surfaces("float"))
+        word = data.draw(path_words(surf))
+        got, want = path_matrix(surf, word), dense_path_matrix(surf, word)
+        scale = max(abs(x) for row in want for x in row)
+        for ra, rb in zip(got, want):
+            for x, y in zip(ra, rb):
+                assert type(x) is type(y) and abs(x - y) <= 1e-12 * scale
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_amalgamated_class_rescale_is_inert(data):
+    """Rescaling both members of an amalgamated class by t and 1/t leaves every
+    path matrix without an inverted transport exactly unchanged, and the others
+    exactly unchanged at n = 2 and projectively at every n."""
+    kinds = ("two_triangle", "cylinder_two_cusps", "cylinder_three_triangle")
+    surf, words = data.draw(worked_surfaces(kinds=kinds))
+    n = surf.n
+    (t1, v1), (t2, v2) = data.draw(st.sampled_from(amalgamation_classes(surf)["amalgamated"]))
+    t = data.draw(POSITIVE)
+    moved = surf.with_value(t1, v1, surf.triangles[t1][v1] * t)
+    moved = moved.with_value(t2, v2, moved.triangles[t2][v2] / t)
+    for word in words.values():
+        before, after = path_matrix(surf, word), path_matrix(moved, word)
+        if n == 2 or not any(tok[0] == "T" and tok[3] for tok in word.tokens):
+            assert after == before
+        else:
+            assert proj_eq(after, before)
 
 
 class TestSideVertex:

@@ -45,10 +45,9 @@ def _read_json(path):
 
 
 def _write_text(path, text):
-    # a lone surrogate, legal in a JSON string, has no UTF-8 encoding
     try:
         Path(path).write_text(text, encoding="utf-8")
-    except (OSError, UnicodeEncodeError) as exc:
+    except OSError as exc:
         raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 

@@ -292,11 +292,10 @@ def invert_monomials(monomials, values, base):
             raise DomainError(f"monomial {name!r} has nonpositive coefficient {coeff}")
         rows.append([Fraction(e) for e in exps])
         rhs.append(Fraction(_exponent_of(Fraction(values[name]) / coeff, base)))
-    if linalg.rank(rows) < nvars:
-        raise SingularExponentTable(
-            f"exponent table has rank {linalg.rank(rows)} < {nvars} variables"
-        )
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
+    m, pivots = linalg.rref([row + [b] for row, b in zip(rows, rhs)])
+    rank = len(pivots) - (nvars in pivots)
+    if rank < nvars:
+        raise SingularExponentTable(f"exponent table has rank {rank} < {nvars} variables")
+    if nvars in pivots:
         raise InconsistentValues("values are incompatible with the monomial table")
-    return dict(zip(ring.names, sol))
+    return dict(zip(ring.names, (row[nvars] for row in m)))

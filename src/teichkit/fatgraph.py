@@ -209,17 +209,20 @@ class FatGraph:
     """vertices: name -> cyclic tuple of (edge_id, end); edges: name -> EdgeData.
 
     Internal edges appear with both ends among the vertices; open edges with
-    end 0 only, their end 1 being the cusp.
+    end 0 only, their end 1 being the cusp.  An end is never coerced: one
+    that is not an int is a TypeError (a SchemaError from ``from_json``).
     """
 
     def __init__(self, vertices, edges, genus=None, n_boundary=None):
-        self.vertices = {v: tuple((e, int(end)) for e, end in hes) for v, hes in vertices.items()}
+        self.vertices = {v: tuple((e, end) for e, end in hes) for v, hes in vertices.items()}
         self.edges = dict(edges)
         self.genus = genus
         self.n_boundary = n_boundary
         self._where = {}
         for v, hes in self.vertices.items():
             for h in hes:
+                if type(h[1]) is not int:
+                    raise TypeError(f"half-edge end must be an int, got {type(h[1]).__name__}")
                 if h in self._where:
                     raise MalformedGraph(f"half-edge {h} used twice")
                 self._where[h] = v
@@ -239,6 +242,8 @@ class FatGraph:
         for h in self._where:
             if h[0] not in self.edges:
                 raise MalformedGraph(f"half-edge of unknown edge {h[0]}")
+            if h[1] not in (0, 1):
+                raise MalformedGraph(f"half-edge {h} has an end other than 0 or 1")
         n_open = sum(1 for d in self.edges.values() if d.is_open)
         if self.genus is not None and self.n_boundary is not None:
             v, e, s = len(self.vertices), len(self.edges), self.n_boundary

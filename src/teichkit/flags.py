@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .encode import SCHEMA, check_schema, decoding, scalar_from_json, scalar_to_json
-from .errors import DomainError
+from .errors import DomainError, SchemaError
 from .halfplane import INFINITY, cross_ratio as boundary_cross_ratio
 from .linalg import (
     _fractions,
@@ -27,8 +27,6 @@ from .linalg import (
     rank,
     row_space,
     rref,
-    solve,
-    transpose,
 )
 
 
@@ -289,10 +287,11 @@ def projective_basis_vectors(lines, weights):
     if len(w) != n or any(x == 0 for x in w):
         raise NotProjectiveBasis("weights must be n nonzero scalars")
     # any n of the lines span iff the first n do and the last line has a
-    # nonzero coefficient on each of them
-    if rank(gens[:n]) != n:
+    # nonzero coefficient on each of them: one rref of [v_1 .. v_n | v_n+1]
+    m, pivots = rref([list(col) + [x] for col, x in zip(zip(*gens[:n]), gens[n])])
+    if pivots != list(range(n)):
         raise NotProjectiveBasis("some n of the lines do not span")
-    coeffs = solve(transpose(gens[:n]), gens[n])
+    coeffs = [row[n] for row in m]
     if any(c == 0 for c in coeffs):
         raise NotProjectiveBasis("last line is not a full mix of the others")
     vecs = [tuple(c / wi * x for x in g) for c, wi, g in zip(coeffs, w, gens)]
@@ -314,7 +313,9 @@ class LineConfig:
     ``from_json`` reports as a SchemaError; the rank is never coerced.  A
     rank below 1, or a key that is not a nonnegative int triple with the
     right sum, is a DimensionMismatch; keys are checked by arithmetic, never
-    against an enumerated lattice, so a huge n costs nothing.
+    against an enumerated lattice, so a huge n costs nothing.  ``from_json``
+    accepts a key only in the spelling ``to_json`` writes ("1,0,0", not
+    "01,0,0"), so no two JSON keys name the same tile.
     """
 
     n: int
@@ -354,16 +355,22 @@ class LineConfig:
         check_schema(doc, "line_config")
         with decoding("line_config"):
             lines = {
-                tuple(int(s) for s in k.split(",")): tuple(scalar_from_json(x) for x in v)
+                _key_from_text(k): tuple(scalar_from_json(x) for x in v)
                 for k, v in doc["lines"].items()
             }
             planes = {
-                tuple(int(s) for s in k.split(",")): tuple(
-                    tuple(scalar_from_json(x) for x in row) for row in v
-                )
+                _key_from_text(k): tuple(tuple(scalar_from_json(x) for x in row) for row in v)
                 for k, v in doc["planes"].items()
             }
             return cls(doc["n"], lines, planes)
+
+
+def _key_from_text(text):
+    """The key "a,b,c" spells, in the one spelling ``to_json`` writes."""
+    key = tuple(int(s) for s in text.split(","))
+    if ",".join(map(str, key)) != text:
+        raise SchemaError(f"key {text!r} is not in canonical form")
+    return key
 
 
 def _lattice_keyed(mapping, total, what):
@@ -387,33 +394,23 @@ def line_config(f1, f2, f3):
     splitting basis of (F1, F2) it is the span of the first n-a-b-c rows that
     ``_block_rows`` leaves for the block (a, b); F3's own rows, reduced
     alongside, give them in the original coordinates.
+
+    Past the ``general_position`` gate nothing needs a run-time check: the
+    elimination adds earlier rows of the invertible F3 to later ones only,
+    so block rows are nonzero and a block's two rows independent, and
+    F1_{n-a-1} ⊂ F1_{n-a} (likewise F2, F3) puts each corner line of a
+    downward tile in its plane.  ``TestGenericityDefinition`` and
+    ``test_planes_contain_corner_lines`` pin both facts.
     """
     if not general_position(f1, f2, f3):
         raise NotGeneric("flags are not in general position")
     n = f1.n
     _, m = _splitting(f1, f2, f3.rows)
     blocks = _block_rows([r + f for r, f in zip(m, f3.rows)])
-
-    def cut(a, b, c):
-        return row_space([r[n:] for r in blocks[(a, b)][: n - a - b - c]])
-
-    lines = {}
-    for (a, b, c) in upward_tiles(n):
-        line = cut(a, b, c)
-        if len(line) != 1:
-            raise NotGeneric(f"expected a line at {(a, b, c)}, got dimension {len(line)}")
-        lines[(a, b, c)] = line[0]
+    lines = {t: canonical_vector(blocks[t[:2]][0][n:]) for t in upward_tiles(n)}
     planes = {}
     if n >= 3:
-        for (a, b, c) in downward_tiles(n):
-            plane = cut(a, b, c)
-            if len(plane) != 2:
-                raise NotGeneric(f"expected a plane at {(a, b, c)}, got dimension {len(plane)}")
-            planes[(a, b, c)] = plane
-            # each plane must contain the three lines at its tile corners
-            for corner in ((a + 1, b, c), (a, b + 1, c), (a, b, c + 1)):
-                if rank(list(plane) + [lines[corner]]) != 2:
-                    raise NotGeneric(f"plane {(a, b, c)} misses its corner line {corner}")
+        planes = {t: row_space([r[n:] for r in blocks[t[:2]]]) for t in downward_tiles(n)}
     return LineConfig(n, lines, planes)
 
 

@@ -8,7 +8,8 @@ Fraction.  Values leaving the ring are Fractions: `constant_value`,
 `monomial_parts` and `eval` over rationals return them.
 
 This is deliberately a small ring: addition, multiplication, integer
-powers, division by monomials, monomial substitution, and regrouping by the
+powers (a monomial's from its exponents, c*x^e to c^k*x^(k*e), in one
+step), division by monomials, monomial substitution, and regrouping by the
 exponent of one generator.  `subs` is monomial only: each generator goes to
 a*x^u, so a term c*x^e goes to c*prod(a_i^e_i)*x^(sum e_i u_i), computed on
 the exponent vector without building a product.  There is no general
@@ -61,7 +62,7 @@ class LaurentRing:
     def const(self, q):
         return LaurentPoly(self, {(0,) * len(self.names): _coeff(q)})
 
-    def monomial(self, coeff, **exps):
+    def monomial(self, coeff, /, **exps):
         e = [0] * len(self.names)
         for name, k in exps.items():
             e[self.index[name]] = int(k)
@@ -151,6 +152,9 @@ class LaurentPoly:
     def __pow__(self, n):
         if not isinstance(n, int):
             raise LaurentError("exponent must be int")
+        if self.is_monomial():
+            (e, c), = self.terms.items()
+            return LaurentPoly(self.ring, {tuple(n * k for k in e): Fraction(c) ** n})
         if n < 0:
             return self.inverse() ** (-n)
         out = self.ring.one

@@ -13,6 +13,7 @@ holonomy, which cuts out a fundamental domain.
 """
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from xml.sax.saxutils import escape, quoteattr
@@ -31,7 +32,8 @@ from .halfplane import (
 
 
 class BadGeometry(DomainError):
-    """Element data outside the model: below the boundary, nonpositive size."""
+    """Element data outside the model: below the boundary, nonpositive size,
+    or a color or label that SVG cannot carry."""
 
 
 KINDS = ("geodesic", "horocycle", "circle", "point", "polygon")
@@ -46,6 +48,10 @@ _DEFAULT_COLOR = {
     "point": "#333333",
     "polygon": "#888888",
 }
+
+
+# a character outside XML 1.0's Char production, which no SVG file can hold
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def coordinate_to_json(v):
@@ -82,21 +88,20 @@ class SceneElement:
     color: str = ""
     label: str = ""
 
+    def __post_init__(self):
+        bad = _NOT_XML_CHAR.search(self.color + self.label)
+        if bad:
+            raise BadGeometry(f"SVG cannot carry the character {bad.group()!r}")
+
     def to_json(self):
         doc = {"kind": self.kind, "color": self.color, "label": self.label}
-        g = self.geometry
-        if self.kind == "geodesic":
-            doc["p"], doc["q"] = coordinate_to_json(g[0]), coordinate_to_json(g[1])
-        elif self.kind == "horocycle":
-            doc["base"], doc["size"] = coordinate_to_json(g[0]), scalar_to_json(g[1])
-        elif self.kind == "circle":
-            doc["x"], doc["y"], doc["r"] = (scalar_to_json(v) for v in g)
-        elif self.kind == "point":
-            doc["x"], doc["y"] = scalar_to_json(g[0]), scalar_to_json(g[1])
+        if self.kind in _JSON_FIELDS:
+            fields = _JSON_FIELDS[self.kind][1]
+            doc.update(zip(fields, map(coordinate_to_json, self.geometry)))
         else:
             doc["vertices"] = [
                 "inf" if v is INFINITY else [scalar_to_json(v[0]), scalar_to_json(v[1])]
-                for v in g
+                for v in self.geometry
             ]
         return doc
 
@@ -164,6 +169,17 @@ def polygon(vertices, color="", label=""):
     return SceneElement("polygon", tuple(vs), color, label)
 
 
+# kind -> (constructor, JSON geometry fields in geometry order); "inf" stands
+# for INFINITY, which a constructor refuses where its kind does not allow it.
+# A polygon keeps its vertex list.
+_JSON_FIELDS = {
+    "geodesic": (geodesic, ("p", "q")),
+    "horocycle": (horocycle, ("base", "size")),
+    "circle": (circle, ("x", "y", "r")),
+    "point": (point, ("x", "y")),
+}
+
+
 def element_from_json(doc, mode="rational"):
     if not isinstance(doc, dict):
         raise SchemaError("element must be a JSON object")
@@ -174,30 +190,10 @@ def element_from_json(doc, mode="rational"):
     if not (isinstance(color, str) and isinstance(label, str)):
         raise SchemaError("color and label must be strings")
     try:
-        if kind == "geodesic":
-            return geodesic(
-                coordinate_from_json(doc["p"], mode),
-                coordinate_from_json(doc["q"], mode),
-                color=color,
-                label=label,
-            )
-        if kind == "horocycle":
-            return horocycle(
-                coordinate_from_json(doc["base"], mode),
-                scalar_from_json(doc["size"], mode),
-                color=color,
-                label=label,
-            )
-        if kind == "circle":
-            x, y, r = (scalar_from_json(doc[k], mode) for k in ("x", "y", "r"))
-            return circle(x, y, r, color=color, label=label)
-        if kind == "point":
-            return point(
-                scalar_from_json(doc["x"], mode),
-                scalar_from_json(doc["y"], mode),
-                color=color,
-                label=label,
-            )
+        if kind in _JSON_FIELDS:
+            build, fields = _JSON_FIELDS[kind]
+            coords = [coordinate_from_json(doc[f], mode) for f in fields]
+            return build(*coords, color=color, label=label)
         verts = [
             INFINITY
             if v == "inf"
@@ -272,7 +268,7 @@ def _stroke(color, width="1.6"):
     return f'stroke={quoteattr(color)} stroke-width="{width}" fill="none"'
 
 
-def _geodesic_svg(p, q, color):
+def _geodesic_svg(color, p, q):
     if p is INFINITY or q is INFINITY:
         foot = q if p is INFINITY else p
         x = _fmt(_sx(foot))
@@ -285,7 +281,7 @@ def _geodesic_svg(p, q, color):
     )
 
 
-def _horocycle_svg(base, size, color):
+def _horocycle_svg(color, base, size):
     if base is INFINITY:
         y = _fmt(_sy(size))
         return f'<line x1="0.000" y1="{y}" x2="{_fmt(_W)}" y2="{y}" {_stroke(color, "1.4")}/>'
@@ -296,14 +292,14 @@ def _horocycle_svg(base, size, color):
     )
 
 
-def _circle_svg(x, y, r, color):
+def _circle_svg(color, x, y, r):
     return (
         f'<circle cx="{_fmt(_sx(x))}" cy="{_fmt(_sy(y))}" r="{_fmt(float(r) * _PPU)}" '
         f'{_stroke(color, "1.4")}/>'
     )
 
 
-def _point_svg(x, y, color):
+def _point_svg(color, x, y):
     return f'<circle cx="{_fmt(_sx(x))}" cy="{_fmt(_sy(y))}" r="3.5" fill={quoteattr(color)}/>'
 
 
@@ -325,8 +321,7 @@ def _segment(a, b):
     return f"A {r} {r} 0 0 {sweep} {_fmt(_sx(x2))} {_fmt(_sy(y2))}"
 
 
-def _polygon_svg(vertices, color):
-    verts = list(vertices)
+def _polygon_svg(color, *verts):
     start = next(i for i, v in enumerate(verts) if v is not INFINITY)
     verts = verts[start:] + verts[:start]
     x0, y0 = verts[0]
@@ -338,6 +333,16 @@ def _polygon_svg(vertices, color):
         f'<path d="{" ".join(parts)}" fill={quoteattr(color)} fill-opacity="0.15" '
         f'stroke={quoteattr(color)} stroke-width="1.2"/>'
     )
+
+
+# kind -> SVG writer, called as writer(color, *geometry)
+_SVG_WRITERS = {
+    "geodesic": _geodesic_svg,
+    "horocycle": _horocycle_svg,
+    "circle": _circle_svg,
+    "point": _point_svg,
+    "polygon": _polygon_svg,
+}
 
 
 def _sort_key(el):
@@ -416,18 +421,7 @@ def render_svg(scene):
         'stroke="#444444" stroke-width="1.5"/>'
     )
     for el in ordered:
-        color = el.color or _DEFAULT_COLOR[el.kind]
-        g = el.geometry
-        if el.kind == "geodesic":
-            out.append(_geodesic_svg(g[0], g[1], color))
-        elif el.kind == "horocycle":
-            out.append(_horocycle_svg(g[0], g[1], color))
-        elif el.kind == "circle":
-            out.append(_circle_svg(g[0], g[1], g[2], color))
-        elif el.kind == "point":
-            out.append(_point_svg(g[0], g[1], color))
-        else:
-            out.append(_polygon_svg(g, color))
+        out.append(_SVG_WRITERS[el.kind](el.color or _DEFAULT_COLOR[el.kind], *el.geometry))
     for el in ordered:
         if not el.label:
             continue

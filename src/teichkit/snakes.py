@@ -61,17 +61,13 @@ class NonpositiveVariable(DomainError):
     pass
 
 
-def _one():
-    return Fraction(1)
-
-
 def elem_l(n, k):
     """Row operation L_k = I + E_{k+1,k}: adds row k to row k+1 (1-indexed)."""
     if not 1 <= k <= n - 1:
         raise IndexOutOfRange(f"L_k needs 1 <= k <= {n - 1}, got {k}")
     return tuple(
         tuple(
-            _one() if i == j else (_one() if (i, j) == (k, k - 1) else Fraction(0))
+            Fraction(int(i == j or (i, j) == (k, k - 1)))
             for j in range(n)
         )
         for i in range(n)
@@ -106,8 +102,6 @@ def elem_s(n):
 # axis index pairs (i, j) such that the segment from tile m+e_i to tile m+e_j
 # runs clockwise around their common gray triangle
 _CLOCKWISE = {(0, 1), (1, 2), (2, 0)}
-
-_CORNER_AXIS = {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1)}
 
 
 def _segment_frame(a, b):
@@ -322,7 +316,9 @@ class FGAssignment:
     Keys are the 3(n-1) side vertices and the (n-1)(n-2)/2 interior vertices
     of the sum-n lattice triangle; the constructor demands exactly that key
     set.  Values are positive scalars, or symbolic ring elements for exact
-    manipulation (symbolics are only checked to be nonzero).
+    manipulation (symbolics are only checked to be nonzero).  A vertex
+    coordinate that is not an int (a bool included) is a TypeError, which
+    ``from_json`` reports as a SchemaError, as it does a vertex listed twice.
     """
 
     n: int
@@ -333,19 +329,20 @@ class FGAssignment:
     def __post_init__(self):
         n, values = self.n, self.values
         _check_rank(n)
+        vals = {}
+        for k, v in values.items():
+            if not all(type(x) is int for x in k):
+                raise TypeError(f"vertex {k!r} must have int coordinates")
+            vals[tuple(k)] = v
         want = set(side_vertices(n)) | set(interior_vertices(n))
-        got = {tuple(int(x) for x in k) for k in values}
-        if got != want:
-            missing = sorted(want - got)
-            extra = sorted(got - want)
+        if vals.keys() != want:
+            missing = sorted(want - vals.keys())
+            extra = sorted(vals.keys() - want)
             raise IncompleteAssignment(
                 f"assignment keys off for n={n}: missing {missing}, extra {extra}"
             )
-        vals = {}
-        for k, v in values.items():
-            key = tuple(int(x) for x in k)
+        for key, v in vals.items():
             _check_value(key, v)
-            vals[key] = v
         object.__setattr__(self, "values", vals)
 
     def __getitem__(self, key):
@@ -378,10 +375,12 @@ class FGAssignment:
     def from_json(cls, doc, mode="rational"):
         check_schema(doc, "fg_assignment")
         with decoding("fg_assignment"):
-            vals = {
-                (e["a"], e["b"], e["c"]): scalar_from_json(e["value"], mode)
-                for e in doc["values"]
-            }
+            vals = {}
+            for e in doc["values"]:
+                key = (e["a"], e["b"], e["c"])
+                if key in vals:
+                    raise SchemaError(f"vertex {key} is listed twice")
+                vals[key] = scalar_from_json(e["value"], mode)
             n = doc["n"]
             if not isinstance(n, (int, float)):
                 raise SchemaError(f"rank must be a JSON number, got {type(n).__name__}")

@@ -172,7 +172,7 @@ class TriangulatedSurface:
         if tri not in self.triangles:
             raise UnknownTriangle(f"no triangle {tri!r}")
         old = self.triangles[tri]
-        vertex = tuple(int(x) for x in vertex)
+        vertex = tuple(vertex)
         vals = dict(old.values)
         if vertex not in vals:
             raise UnknownSide(f"no variable at {vertex} for n={self.n}")
@@ -206,7 +206,7 @@ class TriangulatedSurface:
 
 
 def t_token(tri, i, inverted=False):
-    return ("T", tri, int(i), bool(inverted))
+    return ("T", tri, i, inverted)
 
 
 S_TOKEN = ("S",)
@@ -216,12 +216,12 @@ S_TOKEN = ("S",)
 class TrianglePathWord:
     """Alternating word of triangle transports and side-change crossings.
 
-    Tokens are ("T", triangle_id, i, inverted) with i in {1,2,3} and
-    ("S",); a bare "S" string is accepted and normalized.  Matrices multiply
-    in the written order, so the rightmost token acts first.  Consecutive
-    tokens must alternate between the two kinds; a word may open or close
-    with a single S.  The sign is a stored overall factor, irrelevant
-    projectively.
+    Tokens are ("S",) and ("T", triangle_id, i, inverted) with an int i in
+    {1,2,3} and a bool inverted, never coerced; a bare "S" string is
+    normalized.  Matrices multiply in the written order, so the rightmost
+    token acts first.  Consecutive tokens must alternate between the two
+    kinds; a word may open or close with a single S.  The sign is a stored
+    overall factor, irrelevant projectively.
     """
 
     tokens: tuple
@@ -234,9 +234,10 @@ class TrianglePathWord:
                 toks.append(S_TOKEN)
                 continue
             t = tuple(t)
-            if len(t) != 4 or t[0] != "T" or t[2] not in (1, 2, 3):
+            ok = len(t) == 4 and t[0] == "T" and (type(t[2]), type(t[3])) == (int, bool)
+            if not ok or t[2] not in (1, 2, 3):
                 raise MalformedWord(f"bad token {t!r}")
-            toks.append(("T", t[1], int(t[2]), bool(t[3])))
+            toks.append(t)
         if not toks:
             raise MalformedWord("empty path word")
         for a, b in zip(toks, toks[1:]):
@@ -528,10 +529,9 @@ def _sqrt_exact(x):
     coeff, exps = x.monomial_parts()
     if any(e % 2 for e in exps):
         raise NotAPerfectSquare(f"odd exponent in {x}")
-    root = x.ring.const(_sqrt_exact(coeff))
-    for name, e in zip(x.ring.names, exps):
-        root = root * x.ring.gen(name) ** (e // 2)
-    return root
+    return x.ring.monomial(
+        _sqrt_exact(coeff), **{name: e // 2 for name, e in zip(x.ring.names, exps)}
+    )
 
 
 def sl2_lift(m):

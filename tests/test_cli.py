@@ -236,10 +236,13 @@ def test_unwritable_out_is_malformed_input(tmp_path, capsys):
     assert cli.main(["pants-scene", "2", "3", "5", "--out", str(missing / "x.json")]) == 2
     assert cli.main(["pants-scene", "2", "3", "5", "--out", str(scene_path)]) == 0
     assert cli.main(["render", str(scene_path), "--out", str(missing / "x.svg")]) == 2
-    # a label JSON can carry but UTF-8 cannot encode
+    # a label JSON can carry but neither SVG nor UTF-8 can: refused as the
+    # scene is read, before anything is written
     doc = json.loads(scene_path.read_text())
     doc["elements"][0]["label"] = "\ud800"
     scene_path.write_text(json.dumps(doc))
     assert cli.main(["render", str(scene_path), "--out", str(tmp_path / "x.svg")]) == 2
     err = capsys.readouterr().err
-    assert err.count("SchemaError: cannot write") == 3 and not missing.exists()
+    assert err.count("SchemaError: cannot write") == 2 and not missing.exists()
+    assert err.endswith("SchemaError: SVG cannot carry the character '\\ud800'\n")
+    assert not (tmp_path / "x.svg").exists()

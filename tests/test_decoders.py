@@ -6,19 +6,20 @@ import contextlib
 import io
 import json
 import math
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from teichkit import cli, snakes
 from teichkit.encode import MAX_LITERAL_DIGITS, SCHEMA, scalar_from_json
 from teichkit.errors import DomainError, SchemaError
-from teichkit.fatgraph import FatGraph, PathWord, pair_of_pants
+from teichkit.fatgraph import FatGraph, MalformedGraph, PathWord, pair_of_pants
 from teichkit.flags import DimensionMismatch, Flag, LineConfig, SingularFlag
-from teichkit.scene import Scene, pants_scene
+from teichkit.scene import BadGeometry, Scene, element_from_json, pants_scene, point, render_svg
 from teichkit.snakes import MAX_RANK, FGAssignment, NonpositiveVariable, RankOutOfRange
-from teichkit.surface import TrianglePathWord, TriangulatedSurface
+from teichkit.surface import MalformedWord, TrianglePathWord, TriangulatedSurface, t_token
 
 # kind -> (decoder, whether it takes a scalar mode, the fields it reads)
 DECODERS = {
@@ -220,6 +221,103 @@ def test_line_config_on_the_lattice_decodes():
     assert LineConfig(10**9, {}, {}).n == 10**9
 
 
+@pytest.mark.parametrize("key", ["01,0,0", "+1,0,0", " 1,0,0", "1_0,0,0", "1,0,0,", "-0,1,1"])
+def test_line_config_key_has_one_spelling(key):
+    line = ["1/1", "0/1", "0/1"]
+    doc = {"schema": SCHEMA, "kind": "line_config", "n": 2, "lines": {key: line}, "planes": {}}
+    with pytest.raises(SchemaError):
+        LineConfig.from_json(doc)
+    # the canonical spelling beside it would otherwise decode to the same tile
+    with pytest.raises(SchemaError):
+        LineConfig.from_json({**doc, "lines": {"1,0,0": line, key: line}})
+
+
+@pytest.mark.parametrize("part", [0.9, 0.0, False, "0", None], ids=repr)
+def test_fg_assignment_vertex_is_not_coerced(part):
+    doc = FGAssignment.constant(3).to_json()
+    assert [doc["values"][0][k] for k in "abc"] == [0, 1, 2]
+    doc["values"][0]["a"] = part
+    with pytest.raises(SchemaError):
+        FGAssignment.from_json(doc)
+    values = dict(FGAssignment.constant(3).values)
+    values[(part, 1, 2)] = values.pop((0, 1, 2))
+    with pytest.raises(TypeError):
+        FGAssignment(3, values)
+
+
+def test_fg_assignment_vertex_listed_twice_is_refused():
+    doc = FGAssignment.constant(3).to_json()
+    doc["values"].append({**doc["values"][0], "value": "2/1"})
+    with pytest.raises(SchemaError, match="twice"):
+        FGAssignment.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "token",
+    [["T", "t", 1, "no"], ["T", "t", 1, 1], ["T", "t", 1, None], ["T", "t", True, False],
+     ["T", "t", 1.0, False], ["T", "t", "1", False], ["T", "t", 4, False]],
+    ids=["inverted-string", "inverted-int", "inverted-null", "index-true", "index-float",
+         "index-string", "index-4"],
+)
+def test_triangle_path_word_token_is_not_coerced(token):
+    doc = {"schema": SCHEMA, "kind": "triangle_path_word", "tokens": [["T", "t", 1, True]]}
+    assert TrianglePathWord.from_json(doc).tokens == (("T", "t", 1, True),)
+    with pytest.raises(MalformedWord):
+        TrianglePathWord.from_json({**doc, "tokens": [token]})
+    with pytest.raises(MalformedWord):
+        TrianglePathWord([tuple(token)])
+    with pytest.raises(MalformedWord):
+        TrianglePathWord([t_token(*token[1:])])
+
+
+@pytest.mark.parametrize("end", [1.9, True, "1"], ids=repr)
+def test_fatgraph_end_is_not_truncated(end, tmp_path):
+    gp, wp = tmp_path / "graph.json", tmp_path / "word.json"
+    wp.write_text(json.dumps(PANTS_LOOPS["loop1"].to_json()))
+    doc = PANTS.to_json()
+    gp.write_text(json.dumps(doc))
+    assert run_cli(["holonomy", str(gp), str(wp)])[0] == 0
+    assert doc["vertices"]["v"][0] == ["s1", 1]
+    doc["vertices"]["v"][0][1] = end
+    gp.write_text(json.dumps(doc))
+    assert run_cli(["holonomy", str(gp), str(wp)])[0] == 2
+    with pytest.raises(SchemaError):
+        FatGraph.from_json(doc)
+    vertices = {v: [tuple(h) for h in hes] for v, hes in doc["vertices"].items()}
+    with pytest.raises(TypeError):
+        FatGraph(vertices, PANTS.edges)
+
+
+def test_fatgraph_end_is_0_or_1():
+    # a third vertex on ends 2 of the pants edges; without the declared
+    # genus and boundary count nothing else notices it
+    doc = {**PANTS.to_json(), "genus": None, "boundary": None}
+    doc["vertices"]["w"] = [["s1", 2], ["s2", 2], ["s3", 2]]
+    with pytest.raises(MalformedGraph):
+        FatGraph.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "text", ["a\u0001b", "\x00", "\x1b[0m", "\ud800", "\ufffe", "\uffff"],
+    ids=["soh", "nul", "escape", "surrogate", "fffe", "ffff"],
+)
+def test_scene_text_must_be_xml(text, tmp_path):
+    for field in ("label", "color"):
+        with pytest.raises(BadGeometry):
+            point(0, 1, **{field: text})
+        with pytest.raises(SchemaError):
+            element_from_json({"kind": "point", "x": "0", "y": "1", field: text})
+        doc = {"schema": SCHEMA, "kind": "scene",
+               "elements": [{"kind": "point", "x": "0", "y": "1", field: text}]}
+        sp, svg = tmp_path / "scene.json", tmp_path / "scene.svg"
+        sp.write_text(json.dumps(doc))
+        assert run_cli(["render", str(sp), "--out", str(svg)])[0] == 2
+        assert not svg.exists()
+    # what XML 1.0 allows outside the ASCII printables still renders
+    fine = point(0, 1, label="\t\n\r\u00e9\ud7ff\ue000\ufffd\U0001f600")
+    ET.fromstring(render_svg(Scene((fine,))))
+
+
 @pytest.mark.parametrize("literal", ["1e100000", "1e-100000", "1.5e4300", "1" * 4300 + "e1"])
 def test_rational_literal_size_is_bounded(literal):
     with pytest.raises(SchemaError):
@@ -299,7 +397,7 @@ ELEMENTS = st.fixed_dictionaries(
         **{f: COORDS for f in ("p", "q", "base", "size", "x", "y", "r")},
         "vertices": st.lists(st.just("inf") | st.lists(COORDS, max_size=3), max_size=5),
         "color": st.text(max_size=3) | JSON,
-        "label": st.text(max_size=3) | JSON | st.just("\ud800"),
+        "label": st.text(max_size=3) | JSON | st.sampled_from(["\ud800", "a\u0001b"]),
     },
 )
 
@@ -319,13 +417,16 @@ def test_render_cli_exit_codes_are_total(tmp_path):
     sp, svg = tmp_path / "scene.json", tmp_path / "scene.svg"
     seen = set()
 
+    control = {"kind": "point", "x": "0", "y": "1", "label": "a\u0001b"}
+
     @settings(max_examples=150)
     @given(scene_files(), st.sampled_from([svg, tmp_path / "missing" / "x.svg"]))
+    @example({"schema": SCHEMA, "kind": "scene", "elements": [control]}, svg)
     def check(scene, out):
         sp.write_text(json.dumps(scene))
         rc, _, _ = run_cli(["render", str(sp), "--out", str(out)])
         if rc == 0:
-            assert svg.read_text().rstrip().endswith("</svg>")
+            assert ET.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg"
             svg.unlink()
         seen.add(rc)
 

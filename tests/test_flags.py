@@ -400,10 +400,28 @@ class TestLineConfig:
         assert config.planes[(0, 1, 0)] == row_space([(0, 1, 0), (0, 0, 1)])
 
     def test_planes_contain_corner_lines(self, config):
-        for (a, b, c), plane in config.planes.items():
-            for corner in ((a + 1, b, c), (a, b + 1, c), (a, b, c + 1)):
-                line = config.lines[corner]
-                assert rank(list(plane) + [line]) == 2
+        """What line_config does not check at run time, on the example and on
+        seeded generic triples: every line is a nonzero canonical vector,
+        every plane two independent echelon rows, and each plane contains
+        the lines at its three corners."""
+        rng = random.Random(9)
+        configs = [config]
+        for n in (3, 4, 5, 6):
+            generic = []
+            while len(generic) < 4:
+                flags = [_random_flag(rng, n, (-2, -1, 0, 1, 2)) for _ in range(3)]
+                if general_position(*flags):
+                    generic.append(line_config(*flags))
+            configs += generic
+        for cfg in configs:
+            n = cfg.n
+            assert len(cfg.lines) == n * (n + 1) // 2 and len(cfg.planes) == n * (n - 1) // 2
+            for line in cfg.lines.values():
+                assert any(line) and line == canonical_vector(line)
+            for (a, b, c), plane in cfg.planes.items():
+                assert len(plane) == 2 and row_space(plane) == plane
+                for corner in ((a + 1, b, c), (a, b + 1, c), (a, b, c + 1)):
+                    assert rank(list(plane) + [cfg.lines[corner]]) == 2
 
     def test_rejects_nongeneric(self):
         with pytest.raises(NotGeneric):

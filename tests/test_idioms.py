@@ -4,8 +4,9 @@ Each value class is frozen: assigning to any of its fields, derived ones
 included, raises AttributeError; two constructions from the same input
 compare equal and a different input compares unequal; hashability is part of
 each class's contract (a flag, a snake and a path word are hashable, the
-dict-holding classes are not).  Two source guards ride along: no class
-overrides __setattr__, and no module keeps an import it does not use.
+dict-holding classes are not).  Three source guards ride along: no class
+overrides __setattr__, no module keeps an import it does not use, and every
+module-level private name is read somewhere in the package.
 """
 
 import ast
@@ -100,3 +101,33 @@ def test_no_unused_imports():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, f"unused imports: {unused}"
+
+
+def test_every_private_name_is_read():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    assert trees, f"no modules under {SRC}"
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += [
+                f"{name}:{node.lineno} {d}"
+                for d in defined
+                if d.startswith("_") and not d.startswith("__") and d not in read
+            ]
+    assert not dead, f"private names nothing reads: {dead}"

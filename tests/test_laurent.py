@@ -76,6 +76,35 @@ def test_monomial_inverse(m, p):
 
 
 @settings(max_examples=50)
+@given(monomials(R), st.integers(-4, 6))
+def test_monomial_power_is_the_repeated_product(m, n):
+    """c*x^e to the n is built from the exponents in one step."""
+    want = R.one
+    for _ in range(abs(n)):
+        want = want * (m if n >= 0 else m.inverse())
+    got = m ** n
+    assert got == want and got.is_monomial() and canonical(got)
+
+
+@settings(max_examples=30)
+@given(polys(), st.integers(0, 3))
+def test_polynomial_power_is_the_repeated_product(p, n):
+    want = R.one
+    for _ in range(n):
+        want = want * p
+    assert p ** n == want
+    if not p.is_monomial():
+        with pytest.raises(LaurentError, match="not a monomial"):
+            p ** -1
+
+
+def test_monomial_takes_any_generator_name():
+    ring = LaurentRing("coeff", "self")
+    m = ring.monomial(3, coeff=2, self=-1)
+    assert m == 3 * ring.gen("coeff") ** 2 / ring.gen("self")
+
+
+@settings(max_examples=50)
 @given(polys(), polys(), IMAGES)
 def test_subs_is_a_ring_homomorphism(p, q, images):
     assert (p + q).subs(T, images) == p.subs(T, images) + q.subs(T, images)

@@ -261,6 +261,11 @@ class TestSurface:
         assert out.triangles["r"][v] == Fraction(7)
         assert surf.triangles["l"][v] == top[v]
 
+    def test_with_value_does_not_truncate_the_vertex(self):
+        surf = TriangulatedSurface({"l": rand_assignment(3, random.Random(8))})
+        with pytest.raises(UnknownSide):
+            surf.with_value("l", (2.5, 1, 0), Fraction(7))
+
     def test_json_round_trip(self):
         rng = random.Random(9)
         surf, _ = two_triangle(3, rng)

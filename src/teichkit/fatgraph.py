@@ -204,13 +204,18 @@ class EdgeData:
     weight: object
     is_open: bool = False
 
+    def __post_init__(self):
+        if type(self.is_open) is not bool:
+            raise TypeError(f"edge field 'open' must be a bool, got {self.is_open!r}")
+
 
 class FatGraph:
     """vertices: name -> cyclic tuple of (edge_id, end); edges: name -> EdgeData.
 
     Internal edges appear with both ends among the vertices; open edges with
-    end 0 only, their end 1 being the cusp.  An end is never coerced: one
-    that is not an int is a TypeError (a SchemaError from ``from_json``).
+    end 0 only, their end 1 being the cusp.  Nothing is coerced: an end that
+    is not an int, or an ``EdgeData.is_open`` that is not a bool, is a
+    TypeError (a SchemaError from ``from_json``).
     """
 
     def __init__(self, vertices, edges, genus=None, n_boundary=None):
@@ -344,7 +349,7 @@ class FatGraph:
         with decoding("fatgraph"):
             vertices = {v: [(e, end) for e, end in hes] for v, hes in doc["vertices"].items()}
             edges = {
-                e: EdgeData(scalar_from_json(d["weight"], mode), bool(d.get("open", False)))
+                e: EdgeData(scalar_from_json(d["weight"], mode), d.get("open", False))
                 for e, d in doc["edges"].items()
             }
             return cls(vertices, edges, doc.get("genus"), doc.get("boundary"))

@@ -8,18 +8,24 @@ invariants of that configuration (triple ratios at interior lattice vertices,
 cross ratios of coplanar line pencils) are the coordinates used by the
 transport machinery in snakes.py.
 
-Everything in this module is exact: entries are converted to Fraction and all
-rank and intersection decisions use exact arithmetic.
+Everything in this module is exact.  Every output is projective, so rank,
+transversality and genericity are decided over the integers, on rows with
+cleared denominators, by fraction-free elimination (E. Bareiss, Math. Comp.
+22 (1968)).  Fractions appear only in results: canonical_vector lines,
+row_space planes and the returned ratios.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .encode import SCHEMA, check_schema, decoding, scalar_from_json, scalar_to_json
 from .errors import DomainError, SchemaError
 from .halfplane import INFINITY, cross_ratio as boundary_cross_ratio
 from .linalg import (
+    _echelon,
     _fractions,
+    _integer_row,
     canonical_vector,
     det,
     identity,
@@ -63,8 +69,8 @@ class Flag:
     """Complete flag: F_i is the span of the first i rows of ``rows``.
 
     The matrix must be square and invertible; this is checked exactly at
-    construction, by rank.  Flags are immutable and compare by their row
-    matrix.
+    construction, by rank.  Rows are stored as Fractions.  Flags are
+    immutable and compare by their row matrix.
     """
 
     rows: tuple
@@ -146,56 +152,50 @@ def interior_vertices(n):
     return [(a, b, c) for (a, b, c) in _triples(n) if a >= 1 and b >= 1 and c >= 1]
 
 
+def _eliminate(vecs, p, k, targets):
+    """Zero entry k of each integer vector vecs[t], t in targets, against vecs[p].
+
+    v becomes vecs[p][k]*v - v[k]*vecs[p], divided by its content: a nonzero
+    multiple of itself plus one of vecs[p], so spans of leading vectors keep.
+    Vectors are replaced, not mutated, so ones handed out earlier keep their
+    values.  A zero pivot is a vanishing minor and raises NotGeneric.
+    """
+    pivot = vecs[p][k]
+    if not pivot:
+        raise NotGeneric("flags are not in general position")
+    for t in targets:
+        x = vecs[t][k]
+        if x:
+            w = [pivot * a - x * b for a, b in zip(vecs[t], vecs[p])]
+            g = gcd(*w)
+            vecs[t] = [a // g for a in w]
+
+
 def _splitting(f1, f2, rows=()):
     """Coordinates adapted to a transverse pair, in one elimination pass.
 
-    Column operations on the stacked rows of f1, f2 and ``rows`` change the
-    basis of R^n: first until f1's rows are lower triangular, then, adding
-    only later coordinates into earlier ones, until f2's j-th row lives on
-    the last j coordinates.  Basis vector i then spans L_i = F1_i ∩ F2_{n-i+1}.
-    Returns the basis (each column operation's inverse applied as a row
-    operation to the identity) and ``rows`` in it.  Raises NotTransverse when
-    one of f2's pivots vanishes, i.e. when F1_{n-j} ∩ F2_j is not zero.
+    Column operations on the stacked rows of f1, f2 and ``rows``, scaled to
+    integers, change the basis of R^n: first until f1's rows are lower
+    triangular, then, adding only later coordinates into earlier ones, until
+    f2's j-th row lives on the last j coordinates.  Basis vector i then spans
+    L_i = F1_i ∩ F2_{n-i+1}; each is known up to a nonzero factor.  Returns
+    ``rows`` in these coordinates.  Raises NotTransverse when one of f2's
+    pivots vanishes, i.e. when F1_{n-j} ∩ F2_j is not zero.
     """
     if f1.n != f2.n:
         raise DimensionMismatch("flags live in different dimensions")
     n = f1.n
-    cols = [list(c) for c in zip(*f1.rows, *f2.rows, *rows)]
-    basis = [list(r) for r in identity(n)]
-
-    def clear(r, p, targets):
-        for c in targets:
-            t = cols[c][r] / cols[p][r]
-            if t:
-                cols[c] = [x - t * y for x, y in zip(cols[c], cols[p])]
-                basis[p] = [x + t * y for x, y in zip(basis[p], basis[c])]
-
+    cols = [list(c) for c in zip(*map(_integer_row, (*f1.rows, *f2.rows, *rows)))]
     for i in range(n):
         p = next(c for c in range(i, n) if cols[c][i])
         cols[i], cols[p] = cols[p], cols[i]
-        basis[i], basis[p] = basis[p], basis[i]
-        clear(i, i, range(i + 1, n))
+        _eliminate(cols, i, i, range(i + 1, n))
     for j in range(n):
         p = n - 1 - j
         if not cols[p][n + j]:
             raise NotTransverse("flags are not transverse")
-        clear(n + j, p, range(p))
-    return basis, list(zip(*cols))[2 * n :]
-
-
-def _eliminate(rows, k, col):
-    """Clear column ``col`` below row k by adding multiples of row k.
-
-    Changed rows are replaced, not mutated, so rows handed out earlier
-    (``_block_rows`` keeps them) keep their values.
-    """
-    pivot = rows[k][col]
-    if not pivot:
-        raise NotGeneric("flags are not in general position")
-    for i in range(k + 1, len(rows)):
-        t = rows[i][col] / pivot
-        if t:
-            rows[i] = [x - t * y for x, y in zip(rows[i], rows[k])]
+        _eliminate(cols, p, n + j, range(p))
+    return list(zip(*cols))[2 * n :]
 
 
 def _block_rows(rows):
@@ -205,14 +205,14 @@ def _block_rows(rows):
     the first n ride along.  The block F1_{n-a} ∩ F2_{n-b} is the set of
     vectors vanishing on C, the last a and the first b coordinates.  For each
     a, forward elimination without row exchanges takes the columns in the
-    order n-1, ..., n-a, 0, 1, ...; it adds earlier rows to later ones only,
-    so row k stays in F3_{k+1}, and after k pivots rows k, k+1 vanish on the
-    first k columns of that order.  Returns {(a, b): [row a+b, row a+b+1]}
-    (one row when a+b = n-1); for a generic triple the first j of them span
-    F1_{n-a} ∩ F2_{n-b} ∩ F3_{a+b+j}.  A vanishing pivot is a vanishing minor
-    det M[:a+b, C], i.e. F1_{n-a} ∩ F2_{n-b} ∩ F3_{a+b} is not zero, and
-    raises NotGeneric.  Every a starts with the columns n-1, n-2, ..., so
-    that shared part runs once.
+    order n-1, ..., n-a, 0, 1, ...; it adds earlier rows to (multiples of)
+    later ones only, so row k stays in F3_{k+1}, and after k pivots rows k,
+    k+1 vanish on the first k columns of that order.  Returns {(a, b):
+    [row a+b, row a+b+1]} (one row when a+b = n-1); for a generic triple the
+    first j of them span F1_{n-a} ∩ F2_{n-b} ∩ F3_{a+b+j}.  A vanishing pivot
+    is a vanishing minor det M[:a+b, C], i.e. F1_{n-a} ∩ F2_{n-b} ∩ F3_{a+b}
+    is not zero, and raises NotGeneric.  Every a starts with the columns
+    n-1, n-2, ..., so that shared part runs once.
     """
     n = len(rows)
     out = {}
@@ -222,9 +222,9 @@ def _block_rows(rows):
         for k in range(a, n):
             out[(a, k - a)] = branch[k : k + 2]
             if k < n - 1:
-                _eliminate(branch, k, k - a)
+                _eliminate(branch, k, k - a, range(k + 1, n))
         if a < n - 1:
-            _eliminate(spine, a, n - 1 - a)
+            _eliminate(spine, a, n - 1 - a, range(a + 1, n))
     return out
 
 
@@ -241,7 +241,8 @@ def general_position(f1, f2, f3):
     the coordinates outside C = {first b} ∪ {last a}.  With M the rows of F3
     in that basis, dim(F1_{n-a} ∩ F2_{n-b} ∩ F3_k) = k - rank M[:k, C], which
     is minimal for every k iff the minor det M[:|C|, C] is not zero.  These
-    minors are the pivots of one elimination per a (``_block_rows``).
+    minors vanish with the pivots of one integer elimination per a
+    (``_block_rows``).
 
     Dually (Fock-Goncharov, Publ. IHÉS 103 (2006), §9): with F_i* the
     annihilator of F_{n-i} (rows: F^-1's columns, reversed) and Δ_{a,b,c} the
@@ -252,7 +253,7 @@ def general_position(f1, f2, f3):
     if not (f1.n == f2.n == f3.n):
         raise DimensionMismatch("flags live in different dimensions")
     try:
-        _block_rows(_splitting(f1, f2, f3.rows)[1])
+        _block_rows(_splitting(f1, f2, f3.rows))
     except (NotTransverse, NotGeneric):
         return False
     return True
@@ -262,10 +263,12 @@ def two_flag_splitting(f, g):
     """Decompose R^n into lines L_1 .. L_n adapted to a transverse flag pair.
 
     L_i = F_i ∩ G_{n-i+1}; then F_i = L_1 + ... + L_i and
-    G_i = L_n + ... + L_{n-i+1}.  Returns canonical generators.
+    G_i = L_n + ... + L_{n-i+1}.  Returns canonical generators, read off
+    rref([E | I]) = [I | E^-1], E the identity in the splitting coordinates.
     """
-    basis, _ = _splitting(f, g)
-    return tuple(canonical_vector(v) for v in basis)
+    e = identity(f.n)
+    m, _ = rref([list(r) + list(x) for r, x in zip(_splitting(f, g, e), e)])
+    return tuple(canonical_vector(r[f.n :]) for r in m)
 
 
 def projective_basis_vectors(lines, weights):
@@ -392,8 +395,8 @@ def line_config(f1, f2, f3):
 
     The subspace at a tile (a,b,c) is F1_{n-a} ∩ F2_{n-b} ∩ F3_{n-c}.  In the
     splitting basis of (F1, F2) it is the span of the first n-a-b-c rows that
-    ``_block_rows`` leaves for the block (a, b); F3's own rows, reduced
-    alongside, give them in the original coordinates.
+    ``_block_rows`` leaves for the block (a, b); F3's own integer rows,
+    reduced alongside, give them in the original coordinates.
 
     Past the ``general_position`` gate nothing needs a run-time check: the
     elimination adds earlier rows of the invertible F3 to later ones only,
@@ -405,8 +408,9 @@ def line_config(f1, f2, f3):
     if not general_position(f1, f2, f3):
         raise NotGeneric("flags are not in general position")
     n = f1.n
-    _, m = _splitting(f1, f2, f3.rows)
-    blocks = _block_rows([r + f for r, f in zip(m, f3.rows)])
+    f3_rows = [_integer_row(r) for r in f3.rows]
+    m = _splitting(f1, f2, f3_rows)
+    blocks = _block_rows([list(r) + f for r, f in zip(m, f3_rows)])
     lines = {t: canonical_vector(blocks[t[:2]][0][n:]) for t in upward_tiles(n)}
     planes = {}
     if n >= 3:
@@ -429,9 +433,9 @@ def triple_ratio(config, vertex):
 
     of 3x3 determinants taken in any basis of that subspace, where A,B,C are
     the corner lines and AB,BC,CA the intermediate ones.  The value does not
-    depend on the basis nor on the scaling of any generator.  In the
-    reduced echelon basis of the span a line's coordinates are its entries
-    at the pivot columns.  For a generic triple F, with F* and Δ as in
+    depend on the basis nor on the scaling of any generator, so they are
+    taken of the integer lines' entries at the pivot columns of the span.
+    For a generic triple F, with F* and Δ as in
     ``general_position``, triple_ratio(line_config(F), (a,b,c)) is 1/X(F*),
     Fock-Goncharov's X = Δ_{a+1,b-1,c} Δ_{a,b+1,c-1} Δ_{a-1,b,c+1} /
     (Δ_{a+1,b,c-1} Δ_{a-1,b+1,c} Δ_{a,b-1,c+1}).
@@ -447,8 +451,8 @@ def triple_ratio(config, vertex):
         "C": (a - 1, b - 1, c + 1),
         "CA": (a, b - 1, c),
     }
-    gens = {t: _fractions(config.lines[k]) for t, k in keys.items()}
-    _, pivots = rref(list(gens.values()))
+    gens = {t: _integer_row(config.lines[k]) for t, k in keys.items()}
+    pivots = _echelon(gens.values())[1]
     if len(pivots) != 3:
         raise DegenerateConfiguration(
             f"lines around {vertex} span dimension {len(pivots)}, expected 3"
@@ -462,7 +466,7 @@ def triple_ratio(config, vertex):
     den = d3("A", "AB", "B") * d3("B", "BC", "C") * d3("C", "CA", "A")
     if den == 0:
         raise DegenerateConfiguration(f"vanishing denominator at {vertex}")
-    return num / den
+    return Fraction(num, den)
 
 
 def pencil_cross_ratio(l1, l2, l3, l4):
@@ -474,7 +478,7 @@ def pencil_cross_ratio(l1, l2, l3, l4):
     of the four slopes is returned; the result does not depend on the basis.
     """
     gens = [_fractions(v) for v in (l1, l2, l3, l4)]
-    _, pivots = rref(gens)
+    pivots = _echelon(gens)[1]
     if len(pivots) > 2:
         raise NotCoplanar("lines do not lie in a common plane")
     if len(pivots) < 2:

@@ -3,8 +3,9 @@
 Matrices are tuples of row tuples.  The division-free operations (product,
 determinant by cofactor expansion, adjugate, projective equality) work over
 any commutative ring element type: Fraction, float, complex, or LaurentPoly.
-Rank, solving and subspace work require a field and are written for Fraction
-entries.
+Rank, solving and subspace work need a field, but they clear each row's
+denominators and eliminate over the integers, fraction-free (E. Bareiss,
+Math. Comp. 22 (1968)); Fractions appear only in their results.
 
 Products cost O(n^3) and projective equality O(n^2), but det and adjugate
 expand cofactors and grow like n!; they serve small matrices (the 3x3
@@ -14,6 +15,7 @@ checks invertibility by rank.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
 class LinAlgError(ArithmeticError):
@@ -145,42 +147,57 @@ def proj_eq(a, b):
     return all(x * bp == y * ap for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-# -- Fraction-field routines ------------------------------------------------
+# -- field routines ----------------------------------------------------------
 
 
 def _fractions(v):
-    """The entries of v as Fractions, in a new list: the field these routines need."""
+    """The entries of v as Fractions, in a new list."""
     return [x if isinstance(x, Fraction) else Fraction(x) for x in v]
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    m = [_fractions(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+def _integer_row(v):
+    """v times the lcm of its denominators: an integer row spanning the same line."""
+    pairs = [x.as_integer_ratio() for x in v]
+    scale = lcm(*[d for _, d in pairs])
+    return [a * (scale // d) for a, d in pairs]
+
+
+def _echelon(rows, reduced=False):
+    """(integer echelon rows, pivot columns) of rows, by Bareiss elimination.
+
+    After k pivots each entry off them is a (k+1)-minor of the integer rows,
+    so dividing by the previous pivot, a k-minor, is exact.  With ``reduced``
+    rows above a pivot are cleared too, and all pivots end equal to the last.
+    """
+    m = [_integer_row(r) for r in rows]
+    pivots, prev = [], 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        p = m[r][c]
+        for i in range(0 if reduced else r + 1, len(m)):
+            if i != r:
+                x = m[i][c]
+                m[i] = [(p * a - x * b) // prev for a, b in zip(m[i], m[r])]
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == len(m):
+        if len(pivots) == len(m):
             break
     return m, pivots
 
 
+def rref(rows):
+    """Reduced row echelon form; returns (rows, pivot column list)."""
+    m, pivots = _echelon(rows, reduced=True)
+    d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    return [[Fraction(x, d) for x in row] for row in m], pivots
+
+
 def rank(rows):
-    return len(rref(rows)[1])
+    return len(_echelon(rows)[1])
 
 
 def row_space(rows):
@@ -211,9 +228,8 @@ def nullspace(rows):
 
 def solve(a_rows, b):
     """One solution x of A x = b over Fraction, or None if inconsistent."""
-    a = [_fractions(r) for r in a_rows]
-    aug = [row + [bv] for row, bv in zip(a, _fractions(b))]
-    m, pivots = rref(aug)
+    a = [list(r) for r in a_rows]
+    m, pivots = rref([row + [bv] for row, bv in zip(a, b)])
     ncols = len(a[0]) if a else 0
     if ncols in pivots:
         return None
@@ -246,8 +262,8 @@ def intersect_row_spaces(a_rows, b_rows):
 
 def canonical_vector(v):
     """Scale so the first nonzero coordinate is 1; canonical line representative."""
-    v = _fractions(v)
-    lead = next((x for x in v if x != 0), None)
+    v = _integer_row(v)
+    lead = next((x for x in v if x), None)
     if lead is None:
         raise LinAlgError("zero vector has no canonical form")
-    return tuple(x / lead for x in v)
+    return tuple(Fraction(x, lead) for x in v)

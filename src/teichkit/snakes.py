@@ -27,11 +27,13 @@ about n^4/5 entry products: 896, 12,800 and 190,464 at n = 8, 16 and 32.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, lcm
 
 from .encode import SCHEMA, check_schema, decoding, scalar_from_json, scalar_to_json
 from .errors import DomainError, SchemaError
 from .flags import DegenerateConfiguration, interior_vertices
-from .linalg import _fractions, canonical_vector, mat_mul, mat_prod, solve, transpose
+from .linalg import _fractions, _integer_row, canonical_vector, mat_mul, mat_prod, transpose
 
 
 # The largest rank n an FGAssignment accepts (the smallest is 2).  Its keys
@@ -120,7 +122,8 @@ class Snake:
 
     The first tile touches a corner of the lattice triangle; every segment
     lowers the corner's coordinate by exactly one, which is equivalent to no
-    segment running parallel to the opposite (target) side.
+    segment running parallel to the opposite (target) side.  A coordinate
+    that is not an int (a bool included) is a TypeError, never coerced.
     """
 
     tiles: tuple
@@ -128,7 +131,9 @@ class Snake:
     axis: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        tiles = tuple(tuple(int(x) for x in t) for t in self.tiles)
+        tiles = tuple(tuple(t) for t in self.tiles)
+        if not all(type(x) is int for t in tiles for x in t):
+            raise TypeError(f"snake tiles must have int coordinates, got {tiles!r}")
         if not tiles:
             raise BadSegment("empty snake")
         n = sum(tiles[0]) + 1
@@ -228,7 +233,9 @@ def snake_basis(config, snake, first=None):
     the orientation rule: walking a segment from tile a to tile b across a
     gray triangle with third corner c, the new vector v_b satisfies
     v_b + v_a in line(c) for a clockwise segment and v_b - v_a in line(c)
-    for a counterclockwise one.  Rows are returned in snake order.
+    for a counterclockwise one: over the integers, by Cramer's rule on a
+    nonzero 2x2 minor of (v_b, v_c), checked on every coordinate.  Rows are
+    returned in snake order, as Fractions.
     """
     lines = config.lines
     if config.n != snake.n:
@@ -241,20 +248,27 @@ def snake_basis(config, snake, first=None):
         if canonical_vector(v) != g0:
             raise DegenerateConfiguration("first vector not on the snake's first line")
     rows = [v]
+    # the last vector is vec / den, with integer entries
+    vec, den = _integer_row(v), lcm(*(x.denominator for x in _fractions(v)))
     for idx in range(snake.n - 1):
         a, b = snake.tiles[idx], snake.tiles[idx + 1]
         m, i, j = _segment_frame(a, b)
         k = 3 - i - j
         gamma = tuple(m[x] + (1 if x == k else 0) for x in range(3))
-        g_b, g_c = lines[b], lines[gamma]
-        cw = (i, j) in _CLOCKWISE
-        rhs = tuple(-x for x in rows[-1]) if cw else rows[-1]
-        sol = solve(transpose((g_b, g_c)), rhs)
-        if sol is None or sol[0] == 0:
+        u, w = _integer_row(lines[b]), _integer_row(lines[gamma])
+        rhs = [-x for x in vec] if (i, j) in _CLOCKWISE else vec
+        pairs = combinations(range(len(u)), 2)
+        s, t = next(((s, t) for s, t in pairs if u[s] * w[t] != u[t] * w[s]), (0, 0))
+        d = u[s] * w[t] - u[t] * w[s]
+        x, y = rhs[s] * w[t] - rhs[t] * w[s], u[s] * rhs[t] - u[t] * rhs[s]
+        if not x or any(d * r != x * p + y * q for p, q, r in zip(u, w, rhs)):
             raise DegenerateConfiguration(
                 f"orientation rule breaks down on segment {a} -> {b}"
             )
-        rows.append(tuple(sol[0] * x for x in g_b))
+        vec, den = [x * p for p in u], d * den
+        g = gcd(den, *vec)
+        vec, den = [p // g for p in vec], den // g
+        rows.append(tuple(Fraction(p, den) for p in vec))
     return tuple(rows)
 
 

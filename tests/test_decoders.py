@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from teichkit import cli, snakes
 from teichkit.encode import MAX_LITERAL_DIGITS, SCHEMA, scalar_from_json
 from teichkit.errors import DomainError, SchemaError
-from teichkit.fatgraph import FatGraph, MalformedGraph, PathWord, pair_of_pants
+from teichkit.fatgraph import EdgeData, FatGraph, MalformedGraph, PathWord, pair_of_pants
 from teichkit.flags import DimensionMismatch, Flag, LineConfig, SingularFlag
 from teichkit.scene import BadGeometry, Scene, element_from_json, pants_scene, point, render_svg
 from teichkit.snakes import MAX_RANK, FGAssignment, NonpositiveVariable, RankOutOfRange
@@ -286,6 +286,25 @@ def test_fatgraph_end_is_not_truncated(end, tmp_path):
     vertices = {v: [tuple(h) for h in hes] for v, hes in doc["vertices"].items()}
     with pytest.raises(TypeError):
         FatGraph(vertices, PANTS.edges)
+
+
+@pytest.mark.parametrize("flag", ["no", 1, 0, None], ids=repr)
+def test_fatgraph_open_is_a_bool(flag, tmp_path):
+    # s1 is an internal edge: a truthy non-bool must not make it open, which
+    # validate would report as a malformed graph (exit 3)
+    gp, wp = tmp_path / "graph.json", tmp_path / "word.json"
+    wp.write_text(json.dumps(PANTS_LOOPS["loop1"].to_json()))
+    doc = PANTS.to_json()
+    assert doc["edges"]["s1"]["open"] is False
+    gp.write_text(json.dumps(doc))
+    assert run_cli(["holonomy", str(gp), str(wp)])[0] == 0
+    doc["edges"]["s1"]["open"] = flag
+    gp.write_text(json.dumps(doc))
+    assert run_cli(["holonomy", str(gp), str(wp)])[0] == 2
+    with pytest.raises(SchemaError):
+        FatGraph.from_json(doc)
+    with pytest.raises(TypeError):
+        EdgeData(Fraction(2), flag)
 
 
 def test_fatgraph_end_is_0_or_1():

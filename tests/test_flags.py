@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teichkit import linalg as la
 from teichkit.errors import SchemaError
@@ -200,6 +201,9 @@ def _outcome(fn, *args):
     return out.to_json() if isinstance(out, LineConfig) else out
 
 
+RATIONALS = tuple(Q(a, b) for a in range(-3, 4) for b in (1, 2, 3))
+
+
 def _random_flag(rng, n, entries):
     while True:
         try:
@@ -228,6 +232,17 @@ class TestGenericityDefinition:
         # small entries make many triples degenerate: both verdicts occur often
         assert 10 <= sum(verdicts) <= len(verdicts) - 10
 
+    @settings(max_examples=25)
+    @given(st.integers(2, 5), st.integers(0, 2**32))
+    def test_random_rational_triples(self, n, seed):
+        # rows with denominators: the eliminations clear them first
+        rng = random.Random(seed)
+        f1, f2, f3 = (_random_flag(rng, n, RATIONALS) for _ in range(3))
+        generic = _definition_general_position(f1, f2, f3)
+        assert general_position(f1, f2, f3) == generic
+        config = _definition_line_config(f1, f2, f3).to_json() if generic else NotGeneric
+        assert _outcome(line_config, f1, f2, f3) == config
+
     def test_non_transverse_pair(self):
         # G_1 = <e1 + e2> lies in F_2, so F_2 ∩ G_1 is a line, not zero
         f1, f3 = standard_flag(3), Flag([(1, 2, 3), (0, 1, 4), (0, 0, 1)])
@@ -240,6 +255,22 @@ class TestGenericityDefinition:
             _definition_splitting(f1, f2)
         with pytest.raises(NotTransverse):
             two_flag_splitting(f1, f2)
+
+
+class TestSplittingDefinition:
+    @settings(max_examples=80)
+    @given(st.integers(2, 6), st.sampled_from([(-1, 0, 1), RATIONALS]), st.integers(0, 2**32))
+    def test_lines_are_the_pairwise_intersections(self, n, entries, seed):
+        """two_flag_splitting(f, g)[i] spans F_{i+1} ∩ G_{n-i}, and it raises
+        NotTransverse exactly when some F_i ∩ G_j is too big."""
+        rng = random.Random(seed)
+        f, g = _random_flag(rng, n, entries), _random_flag(rng, n, entries)
+        got = _outcome(two_flag_splitting, f, g)
+        assert got == _outcome(_definition_splitting, f, g)
+        if got is not NotTransverse:
+            for i, line in enumerate(got):
+                cut = la.intersect_row_spaces(f.subspace(i + 1), g.subspace(n - i))
+                assert row_space([line]) == cut
 
 
 def _dual(f):

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from teichkit import linalg
 from teichkit.laurent import LaurentRing
 from teichkit.linalg import adjugate, det, is_scalar_matrix, mat_mul, mat_scale, proj_eq
 
@@ -75,3 +77,73 @@ class TestProjEq:
         assert proj_eq(mat_scale(x * x / y, b), b)
         assert proj_eq(mat_scale(x + y, b), b)
         assert not proj_eq(((x, y + 1), (ring.one, x)), b)
+
+
+def _definition_rref(rows):
+    """Gauss-Jordan over Fraction, each pivot row divided by its pivot."""
+    m = [[Q(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f != 0:
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        if len(pivots) == len(m):
+            break
+    return m, pivots
+
+
+SCALARS = st.integers(-4, 4) | st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def matrices(draw):
+    """Int and Fraction rows of one length, with dependent and zero rows mixed in."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(SCALARS, min_size=ncols, max_size=ncols), max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        row = [0] * ncols
+        if rows and draw(st.booleans()):
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(SCALARS), draw(SCALARS)
+            row = [s * x + t * y for x, y in zip(u, v)]
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+class TestEliminationDefinition:
+    """rank, rref and the integer pivot columns against Gauss-Jordan over Fraction."""
+
+    @settings(max_examples=200)
+    @given(matrices())
+    def test_against_fraction_gauss_jordan(self, rows):
+        want, pivots = _definition_rref(rows)
+        got, got_pivots = linalg.rref(rows)
+        assert got == want and got_pivots == pivots
+        assert all(type(x) is Q for row in got for x in row)
+        assert linalg._echelon(rows)[1] == pivots
+        assert linalg.rank(rows) == len(linalg.rref(rows)[1]) == len(pivots)
+
+    def test_singular_square_and_wide(self):
+        rows = [[1, 2, 3], [2, 4, 6], [0, 0, 0], [Q(1, 2), 1, Q(3, 2)]]
+        assert linalg.rank(rows) == 1
+        assert linalg.rref(rows) == ([[1, 2, 3], [0, 0, 0], [0, 0, 0], [0, 0, 0]], [0])
+        assert linalg.rank([[0, 0, 1, 2], [0, 0, 2, 5]]) == 2
+        assert linalg._echelon([[0, 0, 1, 2], [0, 0, 2, 5]])[1] == [2, 3]
+        assert linalg.rank([]) == 0 and linalg.rref([]) == ([], [])
+
+
+def test_solve_returns_one_solution_or_none():
+    # nothing in the package calls solve; it is public, so its contract is
+    # pinned here
+    assert linalg.solve([[1, 2], [3, 4]], [5, 6]) == (-4, Q(9, 2))
+    assert linalg.solve([[1, 2], [2, 4]], [1, 3]) is None
+    x = linalg.solve([[1, 1, 0], [0, 0, 1]], [Q(1, 2), 2])
+    assert x == (Q(1, 2), 0, 2) and all(type(v) is Q for v in x)

@@ -11,6 +11,7 @@ from teichkit.fatgraph import cross, turn_left, turn_right
 from teichkit.flags import (
     DegenerateConfiguration,
     Flag,
+    LineConfig,
     general_position,
     interior_vertices,
     line_config,
@@ -27,6 +28,7 @@ from teichkit.linalg import (
     mat_mul,
     mat_prod,
     proj_eq,
+    rank,
 )
 from teichkit.snakes import (
     BadSegment,
@@ -179,6 +181,15 @@ class TestSnake:
         with pytest.raises(BadSegment):
             Snake([(2, 0, 0), (1, 1, 0), (1, 0, 1)])
 
+    @pytest.mark.parametrize("value", [2.9, 2.0, "2", True, None], ids=repr)
+    @pytest.mark.parametrize("tile", [0, 1])
+    def test_tile_coordinates_are_not_coerced(self, tile, value):
+        # a float must not be truncated, e.g. (2.9, 0, 0) onto the corner tile (2, 0, 0)
+        tiles = [list(t) for t in boundary_snake_12(3).tiles]
+        tiles[tile][tile] = value
+        with pytest.raises(TypeError):
+            Snake([tuple(t) for t in tiles])
+
     def test_immutable(self):
         s = boundary_snake_12(2)
         with pytest.raises(AttributeError):
@@ -265,6 +276,44 @@ class TestSnakeBasis:
         cfg = example_config()
         with pytest.raises(BadSegment):
             snake_basis(cfg, boundary_snake_12(4))
+
+    # The first segment of boundary_snake_12(3) runs from tile (2,0,0) to
+    # b = (1,1,0) around the gray triangle with third corner c = (1,0,1): the
+    # vector on line(a) must split over line(b) + line(c) with a nonzero part
+    # on line(b).
+    @pytest.mark.parametrize(
+        "a, b, c",
+        [
+            ((1, 0, 0), (0, 1, 0), (0, 2, 0)),  # line(b) = line(c)
+            ((1, 1, 1), (0, 1, 0), (0, 0, 1)),  # line(a) leaves their plane
+            ((1, 1, 0), (1, 0, 0), (1, 0, 0)),  # the same, with b = c
+            ((0, 0, 1), (0, 1, 0), (0, 0, 1)),  # line(a) = line(c): no part on b
+            ((1, 0, 0), (1, 0, 0), (1, 0, 0)),  # all one line: no unique split
+        ],
+        ids=["b-parallel-c", "a-off-plane", "a-off-line", "a-on-c", "one-line"],
+    )
+    def test_degenerate_segment_is_refused(self, a, b, c):
+        cfg = example_config()
+        lines = {**cfg.lines, (2, 0, 0): a, (1, 1, 0): b, (1, 0, 1): c}
+        with pytest.raises(DegenerateConfiguration):
+            snake_basis(LineConfig(3, lines, cfg.planes), boundary_snake_12(3))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_results_are_fractions(self, n):
+        # integer flags: an integer pipeline that forgot its last division
+        # would hand back ints
+        rng = random.Random(n)
+        while True:
+            rows = [[[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)] for _ in range(3)]
+            if all(rank(r) == n for r in rows) and general_position(*map(Flag, rows)):
+                break
+        cfg = line_config(*map(Flag, rows))
+        entries = [x for v in cfg.lines.values() for x in v]
+        entries += [x for plane in cfg.planes.values() for row in plane for x in row]
+        entries += [triple_ratio(cfg, v) for v in interior_vertices(n)]
+        for mk in (boundary_snake_12, boundary_snake_23, boundary_snake_31):
+            entries += [x for row in snake_basis(cfg, mk(n)) for x in row]
+        assert entries and all(type(x) is Q for x in entries)
 
 
 class TestStandardMatrix:

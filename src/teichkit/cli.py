@@ -290,7 +290,7 @@ def build_parser():
         type=int,
         default=3,
         help=f"triangle rank 2 <= n <= {MAX_RANK} for transport/amalgamation; "
-        "each transport costs about n^4/5 exact products",
+        "each transport or adjugate costs about n^4/5 exact products",
     )
     v.set_defaults(func=_cmd_verify)
 

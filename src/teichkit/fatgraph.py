@@ -192,9 +192,15 @@ class PathWord:
     def from_json(cls, doc):
         check_schema(doc, "pathword")
         with decoding("pathword"):
-            toks = tuple(t if isinstance(t, str) else (t[0], t[1]) for t in doc["tokens"])
+            toks = []
+            for t in doc["tokens"]:
+                if not isinstance(t, str):
+                    if not (isinstance(t, list) and len(t) == 2 and isinstance(t[1], str)):
+                        raise SchemaError(f"an edge token is [letter, edge id], got {t!r}")
+                    t = tuple(t)
+                toks.append(t)
             try:
-                return cls(toks, doc.get("sign", 1))
+                return cls(tuple(toks), doc.get("sign", 1))
             except InvalidWord as exc:
                 raise SchemaError(str(exc)) from exc
 

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .encode import SCHEMA, check_schema, decoding, scalar_from_json, scalar_to_json
+from .encode import (
+    SCHEMA,
+    _matrix_from_json,
+    _vector_from_json,
+    check_schema,
+    decoding,
+    scalar_to_json,
+)
 from .errors import DomainError, SchemaError
 from .halfplane import INFINITY, cross_ratio as boundary_cross_ratio
 from .linalg import (
@@ -107,7 +114,7 @@ class Flag:
     def from_json(cls, doc):
         check_schema(doc, "flag")
         with decoding("flag"):
-            return cls([[scalar_from_json(x) for x in row] for row in doc["rows"]])
+            return cls(_matrix_from_json(doc["rows"]))
 
 
 def standard_flag(n):
@@ -358,12 +365,10 @@ class LineConfig:
         check_schema(doc, "line_config")
         with decoding("line_config"):
             lines = {
-                _key_from_text(k): tuple(scalar_from_json(x) for x in v)
-                for k, v in doc["lines"].items()
+                _key_from_text(k): _vector_from_json(v) for k, v in doc["lines"].items()
             }
             planes = {
-                _key_from_text(k): tuple(tuple(scalar_from_json(x) for x in row) for row in v)
-                for k, v in doc["planes"].items()
+                _key_from_text(k): _matrix_from_json(v) for k, v in doc["planes"].items()
             }
             return cls(doc["n"], lines, planes)
 

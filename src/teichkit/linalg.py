@@ -77,13 +77,19 @@ def det(a):
     n = len(a)
     if n == 0 or len(a[0]) != n:
         raise LinAlgError("determinant needs a nonempty square matrix")
+    return _cofactor_det(a)
+
+
+def _cofactor_det(a):
+    """det of a nonempty square tuple matrix, expanded along its first row."""
+    n = len(a)
     if n == 1:
         return a[0][0]
     if n == 2:
         return a[0][0] * a[1][1] - a[0][1] * a[1][0]
     out = None
     for j in range(n):
-        piece = a[0][j] * det(_minor(a, 0, j))
+        piece = a[0][j] * _cofactor_det(_minor(a, 0, j))
         if j % 2:
             piece = -piece
         out = piece if out is None else out + piece
@@ -94,13 +100,15 @@ def adjugate(a):
     """Transpose of the cofactor matrix; a * adj(a) = det(a) * I, no division."""
     a = mat(a)
     n = len(a)
+    if a and len(a[0]) != n:
+        raise LinAlgError("adjugate needs a square matrix")
     if n == 1:
         return ((Fraction(1),),)
     out = []
     for i in range(n):
         row = []
         for j in range(n):
-            c = det(_minor(a, j, i))
+            c = _cofactor_det(_minor(a, j, i))
             if (i + j) % 2:
                 c = -c
             row.append(c)
@@ -151,7 +159,11 @@ def proj_eq(a, b):
 
 
 def _fractions(v):
-    """The entries of v as Fractions, in a new list."""
+    """The entries of v as Fractions, in a new list.  A str or a bool is a
+    TypeError: Fraction would parse the one and read the other as 0 or 1."""
+    v = list(v)
+    if any(isinstance(x, (str, bool)) for x in v):
+        raise TypeError(f"entries must be numbers, got {v!r}")
     return [x if isinstance(x, Fraction) else Fraction(x) for x in v]
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from xml.sax.saxutils import escape, quoteattr
 
-from .encode import SCHEMA, check_schema, scalar_from_json, scalar_to_json
+from .encode import SCHEMA, _vector_from_json, check_schema, scalar_from_json, scalar_to_json
 from .errors import DomainError, SchemaError
 from .fatgraph import _scalar
 from .halfplane import (
@@ -195,11 +195,11 @@ def element_from_json(doc, mode="rational"):
             coords = [coordinate_from_json(doc[f], mode) for f in fields]
             return build(*coords, color=color, label=label)
         verts = [
-            INFINITY
-            if v == "inf"
-            else (scalar_from_json(v[0], mode), scalar_from_json(v[1], mode))
+            INFINITY if v == "inf" else _vector_from_json(v, mode)
             for v in doc["vertices"]
         ]
+        if any(v is not INFINITY and len(v) != 2 for v in verts):
+            raise SchemaError('a polygon vertex is "inf" or a list of two scalars')
         return polygon(verts, color=color, label=label)
     except KeyError as exc:
         raise SchemaError(f"element missing field {exc}") from exc

@@ -22,13 +22,16 @@ No transport, and no path word of transports, adjugates (inverses up to a
 scalar) and side changes, is built as a product of dense matrices: _evaluate
 runs the whole factor word once as column operations on a running matrix,
 without division.  H_k(t) scales n-k whole columns, so one transport costs
-about n^4/5 entry products: 896, 12,800 and 190,464 at n = 8, 16 and 32.
+about n^4/5 entry products: 896, 12,800 and 190,464 at n = 8, 16 and 32.  An
+adjugate costs the same, read off the reversed word with one scalar per
+word, which adds one n^2 scaling.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import add, sub
 
 from .encode import SCHEMA, check_schema, decoding, scalar_from_json, scalar_to_json
 from .errors import DomainError, SchemaError
@@ -37,9 +40,10 @@ from .linalg import _fractions, _integer_row, canonical_vector, mat_mul, mat_pro
 
 
 # The largest rank n an FGAssignment accepts (the smallest is 2).  Its keys
-# number O(n^2) and a transport costs O(n^4) exact operations, so a rank-32
-# `verify transport` trial takes seconds, while a short document such as
-# "n": 10**9 would not return; it is refused before any key is enumerated.
+# number O(n^2) and a transport or an adjugate costs O(n^4) exact operations
+# (an adjugate adds one n^2 scaling per word), so a rank-32 `verify transport`
+# trial takes seconds, while a short document such as "n": 10**9 would not
+# return; it is refused before any key is enumerated.
 MAX_RANK = 32
 
 
@@ -420,24 +424,27 @@ def _check_value(key, v):
             raise NonpositiveVariable(f"variable at {key} is zero")
 
 
-def _evaluate(n, steps):
-    """A word of transports, adjugates and side changes, as column operations.
+def _evaluate(n, steps, scalar=1):
+    """scalar times a word of transports, adjugates and side changes.
 
     A step is ("S",), the side change, or (which, assignment, inverted): T_which,
-    or adj(T_which) when inverted.  The steps multiply left to right.  They
-    are flattened into one factor word, which runs once on the columns of a
-    running matrix; each factor F multiplies on the right: L_k adds column
-    k+1 into column k, H_k(t) scales columns k+1..n by t, S reverses the
-    columns with signs (-1)^j (0-indexed j).  adj(AB) = adj(B) adj(A), so an
-    adjugate walks its word backwards with adj(L_k) = I - E_{k+1,k},
-    adj(H_k(t)) = diag(t^(n-k) x k, t^(n-k-1) x (n-k)) and adj(S) =
-    det(S) S^T = S^T, whose signs are S's times (-1)^(n-1).  Nothing
-    divides, so entries may be ring elements such as LaurentPoly.
+    or adj(T_which) when inverted.  The steps multiply left to right.  One pass
+    flattens them into a word of column actions, each a factor multiplying a
+    running matrix on the right: L_k adds column k+1 into column k, H_k(t)
+    scales columns k+1..n by t, S reverses the columns with signs (-1)^j
+    (0-indexed j).  adj(AB) = adj(B) adj(A), so an adjugate walks its word
+    backwards, and up to a scalar each inverse factor is such an action:
+    adj(L_k) = I - E_{k+1,k} subtracts instead of adding, adj(H_k(t)) =
+    t^(n-k-1) diag(t x k, 1 x (n-k)) scales columns 1..k, and adj(S) =
+    (-1)^(n-1) S.  The same pass gathers those scalars into ``scalar``, which
+    multiplies the result once.  Nothing divides, so entries may be ring
+    elements such as LaurentPoly.
     """
     word = []
+    one = Fraction(1)
     for step in steps:
         if step == ("S",):
-            word.append(("S", 0))
+            word.append(step)
             continue
         which, assignment, inverted = step
         if not isinstance(assignment, FGAssignment) or assignment.n != n:
@@ -445,43 +452,33 @@ def _evaluate(n, steps):
         factors = transport_word(n, which)
         for f in reversed(factors) if inverted else factors:
             if f[0] == "S":
-                word.append(("S", (n - 1) % 2 if inverted else 0))
+                word.append(f)
+                if inverted and n % 2 == 0:
+                    scalar = -scalar
             elif f[0] == "L":
-                word.append(("L", f[1], inverted))
+                word.append(("L", f[1], sub if inverted else add))
             else:
-                word.append(("H", f[1], inverted, assignment[f[2]]))
-    # Every entry lives in the ring of the widest variable of the whole word,
-    # exactly as in the dense product of the factors: rationals never widen it.
-    one = Fraction(1)
-    for f in word:
-        if f[0] == "H" and not isinstance(f[3], (int, Fraction)):
-            one = one * (f[3] * 0 + 1)
+                k, t = f[1], assignment[f[2]]
+                # Every entry lives in the ring of the widest variable of the
+                # whole word: rationals never widen it.
+                if not isinstance(t, (int, Fraction)):
+                    one = one * (t * 0 + 1)
+                if inverted:
+                    scalar = scalar * t ** (n - k - 1)
+                word.append(("H", range(k) if inverted else range(k, n), t))
     zero = one * 0
     cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
     for f in word:
         if f[0] == "S":
-            cols = [
-                [-x for x in c] if (j + f[1]) % 2 else c
-                for j, c in enumerate(reversed(cols))
-            ]
+            cols = [[-x for x in c] if j % 2 else c for j, c in enumerate(cols[::-1])]
         elif f[0] == "L":
             k = f[1]
-            a, b = cols[k - 1], cols[k]
-            if f[2]:
-                cols[k - 1] = [x - y for x, y in zip(a, b)]
-            else:
-                cols[k - 1] = [x + y for x, y in zip(a, b)]
+            cols[k - 1] = list(map(f[2], cols[k - 1], cols[k]))
         else:
-            _, k, inverted, t = f
-            if inverted:
-                p = t ** (n - k - 1)
-                q = p * t
-                for j in range(n):
-                    s = q if j < k else p
-                    cols[j] = [x * s for x in cols[j]]
-            else:
-                for j in range(k, n):
-                    cols[j] = [x * t for x in cols[j]]
+            for j in f[1]:
+                cols[j] = [x * f[2] for x in cols[j]]
+    if scalar != 1:
+        cols = [[x * scalar for x in c] for c in cols]
     return transpose(cols)
 
 

@@ -24,7 +24,6 @@ from .encode import SCHEMA, check_schema, decoding
 from .errors import DomainError
 from .flags import interior_vertices
 from .halfplane import exact_sqrt
-from .linalg import mat_scale
 from .snakes import FGAssignment, _evaluate
 
 
@@ -312,10 +311,7 @@ def path_matrix(surf, word):
         if tri not in surf.triangles:
             raise UnknownTriangle(f"word references unknown triangle {tri!r}")
         steps.append((i, surf.triangles[tri], inverted))
-    out = _evaluate(surf.n, steps)
-    if word.sign == -1:
-        out = mat_scale(-1, out)
-    return out
+    return _evaluate(surf.n, steps, word.sign)
 
 
 # -- amalgamation -------------------------------------------------------------

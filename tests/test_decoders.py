@@ -97,6 +97,8 @@ def test_from_json_is_total(kind):
             LineConfig.from_json,
             {"kind": "line_config", "n": math.inf, "lines": {}, "planes": {}},
         ),
+        (PathWord.from_json, {"kind": "pathword", "tokens": [["E", ["s1"]]]}),
+        (PathWord.from_json, {"kind": "pathword", "tokens": [["E", "s1", "junk"]]}),
     ],
     ids=[
         "flag-rows-int",
@@ -105,6 +107,8 @@ def test_from_json_is_total(kind):
         "fatgraph-end-string",
         "line-key",
         "line-n-infinity",
+        "pathword-edge-id-list",
+        "pathword-edge-token-long",
     ],
 )
 def test_structural_failure_is_schema_error(decode, doc):
@@ -230,6 +234,57 @@ def test_line_config_key_has_one_spelling(key):
     # the canonical spelling beside it would otherwise decode to the same tile
     with pytest.raises(SchemaError):
         LineConfig.from_json({**doc, "lines": {"1,0,0": line, key: line}})
+
+
+def test_flag_rows_are_lists():
+    doc = {"schema": SCHEMA, "kind": "flag", "rows": [["1", "0"], ["0", "1"]]}
+    assert Flag.from_json(doc).n == 2
+    with pytest.raises(SchemaError):
+        Flag.from_json({**doc, "rows": ["10", "01"]})
+
+
+@pytest.mark.parametrize(
+    "lines, planes",
+    [({"0,0,2": "100"}, {}), ({}, {"0,1,0": ["100", "010"]}), ({}, {"0,1,0": "10"})],
+    ids=["line-string", "plane-row-strings", "plane-string"],
+)
+def test_line_config_vectors_are_lists(lines, planes):
+    doc = {"schema": SCHEMA, "kind": "line_config", "n": 3, "lines": lines, "planes": planes}
+    with pytest.raises(SchemaError):
+        LineConfig.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "vertex", [["0/1", "1/1", "9"], ["0/1"], "12"], ids=["three", "one", "string"]
+)
+def test_polygon_vertex_is_two_scalars(vertex):
+    verts = [["0/1", "0/1"], ["2/1", "0/1"], "inf"]
+    doc = {"schema": SCHEMA, "kind": "scene",
+           "elements": [{"kind": "polygon", "vertices": verts}]}
+    assert len(Scene.from_json(doc).elements) == 1
+    doc["elements"][0]["vertices"] = [verts[0], vertex, verts[2]]
+    with pytest.raises(SchemaError):
+        Scene.from_json(doc)
+
+
+@pytest.mark.parametrize("entry", ["1/2", "0", True, False], ids=repr)
+def test_flag_entries_are_not_coerced(entry):
+    with pytest.raises(TypeError):
+        Flag([[entry, 0], [0, 1]])
+    for ok in (2, Fraction(1, 2), 0.5):
+        assert Flag([[ok, 0], [0, 1]]).rows[0][0] == ok
+
+
+@pytest.mark.parametrize("token", [["E", ["s1"]], ["E", "s1", "junk"]], ids=repr)
+def test_holonomy_edge_token_is_refused(token, tmp_path):
+    gp, wp = tmp_path / "graph.json", tmp_path / "word.json"
+    gp.write_text(json.dumps(PANTS.to_json()))
+    word = {"schema": SCHEMA, "kind": "pathword", "tokens": [["E", "s1"], "R"]}
+    wp.write_text(json.dumps(word))
+    assert run_cli(["holonomy", str(gp), str(wp)])[0] == 0
+    wp.write_text(json.dumps({**word, "tokens": [token, "R"]}))
+    rc, _, err = run_cli(["holonomy", str(gp), str(wp)])
+    assert rc == 2 and err.startswith("SchemaError")
 
 
 @pytest.mark.parametrize("part", [0.9, 0.0, False, "0", None], ids=repr)

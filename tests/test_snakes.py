@@ -566,6 +566,42 @@ class TestColumnEvaluation:
             transport_adjugate(3, 1, FGAssignment.constant(4))
 
 
+def generator_assignment(n):
+    keys = side_vertices(n) + interior_vertices(n)
+    ring = LaurentRing(*(f"z{i}" for i in range(len(keys))))
+    return FGAssignment(n, dict(zip(keys, ring.gens())))
+
+
+class TestAdjugateScalar:
+    """T adj(T) = det(T) I, with det(T) read off the transport word.
+
+    det S = 1, det L_k = 1 and det H_k(t) = t^(n-k), so det(T_which) is the
+    product of z_v^(n-k) over the word's H(k, v) factors.  This fixes the
+    projective scalar of an inverted transport at every rank, where the
+    cofactor adjugate comparison stops at n = 5.
+    """
+
+    @staticmethod
+    def check(n, which, z):
+        d = Q(1)
+        for f in transport_word(n, which):
+            if f[0] == "H":
+                d = d * z[f[2]] ** (n - f[1])
+        zero = d * 0
+        want = tuple(tuple(d if i == j else zero for j in range(n)) for i in range(n))
+        assert mat_mul(transport(n, which, z), transport_adjugate(n, which, z)) == want
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("which", [1, 2, 3])
+    def test_rational(self, n, which):
+        self.check(n, which, random_assignment(n, 800 + 10 * n + which))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("which", [1, 2, 3])
+    def test_laurent_generators(self, n, which):
+        self.check(n, which, generator_assignment(n))
+
+
 class TestFlagOracle:
     """Transports rebuilt from exact flag data via the orientation rule."""
 

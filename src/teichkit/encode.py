@@ -58,19 +58,21 @@ def scalar_from_json(v, mode="rational"):
     raise SchemaError(f"cannot decode scalar from {type(v).__name__}")
 
 
-def _vector_from_json(v, mode="rational"):
-    """The scalars of a JSON list.  Anything else is a SchemaError: a string,
-    say, would otherwise decode character by character."""
+def _json_list(v, what):
+    """v if it is a JSON list, else a SchemaError: a string would be read per character."""
     if not isinstance(v, list):
-        raise SchemaError(f"a vector must be a JSON list, got {type(v).__name__}")
-    return tuple(scalar_from_json(x, mode) for x in v)
+        raise SchemaError(f"{what} must be a JSON list, got {type(v).__name__}")
+    return v
+
+
+def _vector_from_json(v, mode="rational"):
+    """The scalars of a JSON list."""
+    return tuple(scalar_from_json(x, mode) for x in _json_list(v, "a vector"))
 
 
 def _matrix_from_json(v):
     """The rows of a JSON list of vectors, each read by _vector_from_json."""
-    if not isinstance(v, list):
-        raise SchemaError(f"a matrix must be a JSON list of rows, got {type(v).__name__}")
-    return tuple(_vector_from_json(row) for row in v)
+    return tuple(_vector_from_json(row) for row in _json_list(v, "a matrix"))
 
 
 def _check_literal_size(v):

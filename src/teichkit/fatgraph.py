@@ -47,7 +47,7 @@ half-plane.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .encode import SCHEMA, check_schema, decoding, scalar_from_json, scalar_to_json
+from .encode import SCHEMA, _json_list, check_schema, decoding, scalar_from_json, scalar_to_json
 from .errors import DomainError, SchemaError
 
 
@@ -68,8 +68,12 @@ class ProductNotIdentity(DomainError):
 
 
 def _scalar(x):
-    """Promote an int to Fraction so that division by it stays exact."""
-    return Fraction(x) if isinstance(x, int) else x
+    """Promote an int to Fraction, so division by it stays exact; a bool is refused."""
+    if isinstance(x, int):
+        if isinstance(x, bool):
+            raise TypeError("bool is not a scalar")
+        return Fraction(x)
+    return x
 
 
 class Mat2:
@@ -193,7 +197,7 @@ class PathWord:
         check_schema(doc, "pathword")
         with decoding("pathword"):
             toks = []
-            for t in doc["tokens"]:
+            for t in _json_list(doc["tokens"], "tokens"):
                 if not isinstance(t, str):
                     if not (isinstance(t, list) and len(t) == 2 and isinstance(t[1], str)):
                         raise SchemaError(f"an edge token is [letter, edge id], got {t!r}")

@@ -10,14 +10,13 @@ transport machinery in snakes.py.
 
 Everything in this module is exact.  Every output is projective, so rank,
 transversality and genericity are decided over the integers, on rows with
-cleared denominators, by fraction-free elimination (E. Bareiss, Math. Comp.
-22 (1968)).  Fractions appear only in results: canonical_vector lines,
-row_space planes and the returned ratios.
+cleared denominators, by linalg's fraction-free row step, which divides each
+row it changes by its content.  Fractions appear only in results:
+canonical_vector lines, row_space planes and the returned ratios.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .encode import (
     SCHEMA,
@@ -30,7 +29,9 @@ from .encode import (
 from .errors import DomainError, SchemaError
 from .halfplane import INFINITY, cross_ratio as boundary_cross_ratio
 from .linalg import (
+    LinAlgError,
     _echelon,
+    _eliminate,
     _fractions,
     _integer_row,
     canonical_vector,
@@ -159,44 +160,21 @@ def interior_vertices(n):
     return [(a, b, c) for (a, b, c) in _triples(n) if a >= 1 and b >= 1 and c >= 1]
 
 
-def _eliminate(vecs, p, k, targets):
-    """Zero entry k of each integer vector vecs[t], t in targets, against vecs[p].
-
-    v becomes vecs[p][k]*v - v[k]*vecs[p], divided by its content: a nonzero
-    multiple of itself plus one of vecs[p], so spans of leading vectors keep.
-    Vectors are replaced, not mutated, so ones handed out earlier keep their
-    values.  A zero pivot is a vanishing minor and raises NotGeneric.
-    """
-    pivot = vecs[p][k]
-    if not pivot:
-        raise NotGeneric("flags are not in general position")
-    for t in targets:
-        x = vecs[t][k]
-        if x:
-            w = [pivot * a - x * b for a, b in zip(vecs[t], vecs[p])]
-            g = gcd(*w)
-            vecs[t] = [a // g for a in w]
-
-
 def _splitting(f1, f2, rows=()):
     """Coordinates adapted to a transverse pair, in one elimination pass.
 
-    Column operations on the stacked rows of f1, f2 and ``rows``, scaled to
-    integers, change the basis of R^n: first until f1's rows are lower
-    triangular, then, adding only later coordinates into earlier ones, until
-    f2's j-th row lives on the last j coordinates.  Basis vector i then spans
-    L_i = F1_i ∩ F2_{n-i+1}; each is known up to a nonzero factor.  Returns
-    ``rows`` in these coordinates.  Raises NotTransverse when one of f2's
-    pivots vanishes, i.e. when F1_{n-j} ∩ F2_j is not zero.
+    Column operations on the stacked rows of f1, f2 and ``rows`` change the
+    basis of R^n: first an ``_echelon`` of the columns, until f1's rows are
+    lower triangular, then, adding only later coordinates into earlier ones,
+    until f2's j-th row lives on the last j coordinates.  Basis vector i then
+    spans L_i = F1_i ∩ F2_{n-i+1}; each is known up to a nonzero factor.
+    Returns ``rows`` in these coordinates.  Raises NotTransverse when one of
+    f2's pivots vanishes, i.e. when F1_{n-j} ∩ F2_j is not zero.
     """
     if f1.n != f2.n:
         raise DimensionMismatch("flags live in different dimensions")
     n = f1.n
-    cols = [list(c) for c in zip(*map(_integer_row, (*f1.rows, *f2.rows, *rows)))]
-    for i in range(n):
-        p = next(c for c in range(i, n) if cols[c][i])
-        cols[i], cols[p] = cols[p], cols[i]
-        _eliminate(cols, i, i, range(i + 1, n))
+    cols = _echelon(zip(*f1.rows, *f2.rows, *rows))[0]
     for j in range(n):
         p = n - 1 - j
         if not cols[p][n + j]:
@@ -218,7 +196,7 @@ def _block_rows(rows):
     [row a+b, row a+b+1]} (one row when a+b = n-1); for a generic triple the
     first j of them span F1_{n-a} ∩ F2_{n-b} ∩ F3_{a+b+j}.  A vanishing pivot
     is a vanishing minor det M[:a+b, C], i.e. F1_{n-a} ∩ F2_{n-b} ∩ F3_{a+b}
-    is not zero, and raises NotGeneric.  Every a starts with the columns
+    is not zero, and raises LinAlgError.  Every a starts with the columns
     n-1, n-2, ..., so that shared part runs once.
     """
     n = len(rows)
@@ -261,7 +239,7 @@ def general_position(f1, f2, f3):
         raise DimensionMismatch("flags live in different dimensions")
     try:
         _block_rows(_splitting(f1, f2, f3.rows))
-    except (NotTransverse, NotGeneric):
+    except (NotTransverse, LinAlgError):
         return False
     return True
 

@@ -4,8 +4,9 @@ Matrices are tuples of row tuples.  The division-free operations (product,
 determinant by cofactor expansion, adjugate, projective equality) work over
 any commutative ring element type: Fraction, float, complex, or LaurentPoly.
 Rank, solving and subspace work need a field, but they clear each row's
-denominators and eliminate over the integers, fraction-free (E. Bareiss,
-Math. Comp. 22 (1968)); Fractions appear only in their results.
+denominators and eliminate over the integers by one row step, ``_eliminate``,
+which divides each row it changes by its content; Fractions appear only in
+their results.
 
 Products cost O(n^3) and projective equality O(n^2), but det and adjugate
 expand cofactors and grow like n!; they serve small matrices (the 3x3
@@ -15,7 +16,7 @@ checks invertibility by rank.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 class LinAlgError(ArithmeticError):
@@ -174,27 +175,42 @@ def _integer_row(v):
     return [a * (scale // d) for a, d in pairs]
 
 
-def _echelon(rows, reduced=False):
-    """(integer echelon rows, pivot columns) of rows, by Bareiss elimination.
+def _primitive(v):
+    """The integer row v divided by its content; a zero row stays zero."""
+    g = gcd(*v)
+    return [a // g for a in v] if g > 1 else v
 
-    After k pivots each entry off them is a (k+1)-minor of the integer rows,
-    so dividing by the previous pivot, a k-minor, is exact.  With ``reduced``
-    rows above a pivot are cleared too, and all pivots end equal to the last.
+
+def _eliminate(vecs, p, k, targets):
+    """Zero entry k of each integer vector vecs[t], t in targets, against vecs[p].
+
+    v becomes vecs[p][k]*v - v[k]*vecs[p], divided by its content: a nonzero
+    multiple of itself plus one of vecs[p], so spans of leading vectors keep in
+    any pivot order.  Vectors are replaced, not mutated, so ones handed out
+    earlier keep their values.  A zero pivot raises LinAlgError.
     """
-    m = [_integer_row(r) for r in rows]
-    pivots, prev = [], 1
+    pivot = vecs[p][k]
+    if not pivot:
+        raise LinAlgError("zero pivot")
+    for t in targets:
+        x = vecs[t][k]
+        if x:
+            vecs[t] = _primitive([pivot * a - x * b for a, b in zip(vecs[t], vecs[p])])
+
+
+def _echelon(rows, reduced=False):
+    """(integer echelon rows divided by their content, pivot columns) of rows:
+    ``_eliminate`` clears below each pivot, and above it too when ``reduced``."""
+    m = [_primitive(_integer_row(r)) for r in rows]
+    pivots = []
     for c in range(len(m[0]) if m else 0):
         r = len(pivots)
         pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        p = m[r][c]
-        for i in range(0 if reduced else r + 1, len(m)):
-            if i != r:
-                x = m[i][c]
-                m[i] = [(p * a - x * b) // prev for a, b in zip(m[i], m[r])]
-        prev = p
+        below = range(r + 1, len(m))
+        _eliminate(m, r, c, [*range(r), *below] if reduced else below)
         pivots.append(c)
         if len(pivots) == len(m):
             break
@@ -204,8 +220,8 @@ def _echelon(rows, reduced=False):
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot column list)."""
     m, pivots = _echelon(rows, reduced=True)
-    d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
-    return [[Fraction(x, d) for x in row] for row in m], pivots
+    scales = [row[c] for row, c in zip(m, pivots)] + [1] * (len(m) - len(pivots))
+    return [[Fraction(x, d) for x in row] for row, d in zip(m, scales)], pivots
 
 
 def rank(rows):
@@ -252,24 +268,15 @@ def solve(a_rows, b):
 
 
 def intersect_row_spaces(a_rows, b_rows):
-    """Canonical basis of rowspace(A) ∩ rowspace(B)."""
-    a = row_space(a_rows)
-    b = row_space(b_rows)
+    """Canonical basis of rowspace(A) ∩ rowspace(B), by Zassenhaus' algorithm:
+    the rows of an echelon form of [[A, A], [B, 0]] that vanish on the left
+    half span the intersection on the right half."""
+    a, b = [list(r) for r in a_rows], [list(r) for r in b_rows]
     if not a or not b:
         return ()
-    # u.A = v.B  <=>  [A^T | -B^T] (u;v) = 0
-    at = transpose(a)
-    bt = transpose(b)
-    sys_rows = [list(ra) + [-x for x in rb] for ra, rb in zip(at, bt)]
-    combos = nullspace(sys_rows)
-    p = len(a)
-    ncols = len(a[0])
-    vecs = []
-    for c in combos:
-        u = c[:p]
-        w = tuple(sum(u[i] * a[i][j] for i in range(p)) for j in range(ncols))
-        vecs.append(w)
-    return row_space(vecs) if vecs else ()
+    n = len(a[0])
+    m, pivots = _echelon([r + r for r in a] + [r + [0] * n for r in b])
+    return row_space([row[n:] for row, c in zip(m, pivots) if c >= n])
 
 
 def canonical_vector(v):

@@ -445,10 +445,9 @@ def pants_maps(e1, e2, e3):
     Returns normalized det > 0 representatives (m1, m2, m3) with
     m1 m2 m3 = identity as maps.
     """
-    for e in (e1, e2, e3):
-        if isinstance(e, bool) or not isinstance(e, (int, Fraction, float)) or e <= 0:
-            raise BadGeometry(f"exponentiated shear must be positive, got {e!r}")
-    a, b, c = (_scalar(e) for e in (e1, e2, e3))
+    a, b, c = (_coord(e) for e in (e1, e2, e3))
+    if not min(a, b, c) > 0:
+        raise BadGeometry(f"exponentiated shears must be positive, got {e1!r}, {e2!r}, {e3!r}")
     m1 = MobiusMap(1 / (b * c), -(1 + 1 / b), 0, 1)
     m2 = MobiusMap(1, 0, 1 / (a * c) + 1 / c, 1 / (a * c))
     m3 = m1.compose(m2).inverse()

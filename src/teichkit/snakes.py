@@ -416,6 +416,8 @@ def _check_rank(n):
 
 def _check_value(key, v):
     if isinstance(v, (int, float, Fraction)):
+        if isinstance(v, bool):
+            raise TypeError(f"variable at {key} must be a number, got {v!r}")
         if not v > 0:
             raise NonpositiveVariable(f"variable at {key} must be positive, got {v}")
     else:

@@ -20,7 +20,7 @@ pinning factors.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .encode import SCHEMA, check_schema, decoding
+from .encode import SCHEMA, _json_list, check_schema, decoding
 from .errors import DomainError
 from .flags import interior_vertices
 from .halfplane import exact_sqrt
@@ -288,7 +288,8 @@ class TrianglePathWord:
     def from_json(cls, doc):
         check_schema(doc, "triangle_path_word")
         with decoding("triangle_path_word"):
-            return cls([tuple(t) for t in doc["tokens"]], doc.get("sign", 1))
+            tokens = _json_list(doc["tokens"], "tokens")
+            return cls([tuple(t) for t in tokens], doc.get("sign", 1))
 
 
 def path_matrix(surf, word):

@@ -99,6 +99,8 @@ def test_from_json_is_total(kind):
         ),
         (PathWord.from_json, {"kind": "pathword", "tokens": [["E", ["s1"]]]}),
         (PathWord.from_json, {"kind": "pathword", "tokens": [["E", "s1", "junk"]]}),
+        (PathWord.from_json, {"kind": "pathword", "tokens": "RLK"}),
+        (TrianglePathWord.from_json, {"kind": "triangle_path_word", "tokens": "S"}),
     ],
     ids=[
         "flag-rows-int",
@@ -109,6 +111,8 @@ def test_from_json_is_total(kind):
         "line-n-infinity",
         "pathword-edge-id-list",
         "pathword-edge-token-long",
+        "pathword-tokens-string",
+        "triangle-path-word-tokens-string",
     ],
 )
 def test_structural_failure_is_schema_error(decode, doc):
@@ -283,6 +287,15 @@ def test_holonomy_edge_token_is_refused(token, tmp_path):
     wp.write_text(json.dumps(word))
     assert run_cli(["holonomy", str(gp), str(wp)])[0] == 0
     wp.write_text(json.dumps({**word, "tokens": [token, "R"]}))
+    rc, _, err = run_cli(["holonomy", str(gp), str(wp)])
+    assert rc == 2 and err.startswith("SchemaError")
+
+
+def test_holonomy_tokens_are_a_list(tmp_path):
+    # a string of letters would otherwise be read as one token per character
+    gp, wp = tmp_path / "graph.json", tmp_path / "word.json"
+    gp.write_text(json.dumps(PANTS.to_json()))
+    wp.write_text(json.dumps({"schema": SCHEMA, "kind": "pathword", "tokens": "RL"}))
     rc, _, err = run_cli(["holonomy", str(gp), str(wp)])
     assert rc == 2 and err.startswith("SchemaError")
 

@@ -76,6 +76,12 @@ def test_pants_faces_and_loop_matrices():
     assert m3 == g.holonomy((loops["loop1"] * loops["loop2"]).inverse())
 
 
+def test_bool_weight_is_not_a_scalar():
+    g, loops = pair_of_pants(True, F(2), F(3))
+    with pytest.raises(TypeError):
+        g.holonomy(loops["loop2"])
+
+
 def test_pants_boundary_traces_are_minus_cosh():
     g, loops = pair_of_pants(F(2), F(3), F(5))
     pairs = {"loop1": F(15), "loop2": F(10), "loop3": F(6)}

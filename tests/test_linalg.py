@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 
@@ -130,6 +131,19 @@ class TestEliminationDefinition:
         assert all(type(x) is Q for row in got for x in row)
         assert linalg._echelon(rows)[1] == pivots
         assert linalg.rank(rows) == len(linalg.rref(rows)[1]) == len(pivots)
+
+    @settings(max_examples=100)
+    @given(matrices(), st.booleans())
+    def test_echelon_rows_are_primitive(self, rows, reduced):
+        m, pivots = linalg._echelon(rows, reduced)
+        assert all(math.gcd(*row) == 1 for row in m[: len(pivots)])
+        assert not any(x for row in m[len(pivots) :] for x in row)
+
+    def test_zero_pivot_is_refused(self):
+        vecs = [[0, 1], [1, 1]]
+        with pytest.raises(linalg.LinAlgError):
+            linalg._eliminate(vecs, 0, 0, [1])
+        assert vecs == [[0, 1], [1, 1]]
 
     def test_singular_square_and_wide(self):
         rows = [[1, 2, 3], [2, 4, 6], [0, 0, 0], [Q(1, 2), 1, Q(3, 2)]]

@@ -239,6 +239,15 @@ def test_pants_maps_reject_nonpositive_weights():
         pants_maps(2, True, 1)
 
 
+@pytest.mark.parametrize("shear", [math.nan, math.inf], ids=repr)
+def test_pants_scene_rejects_nonfinite_shears_up_front(shear):
+    # refused before the maps are built, not by the hyperbolicity or determinant checks
+    with pytest.raises(BadGeometry):
+        pants_maps(2, shear, 1)
+    with pytest.raises(BadGeometry):
+        pants_scene(shear, 2, 3)
+
+
 def test_pants_scene_reproduces_the_textbook_layout():
     s = pants_scene(2, 1, 3)
     by_label = {el.label: el for el in s.elements if el.label}

@@ -677,6 +677,11 @@ class TestAssignment:
         with pytest.raises(NonpositiveVariable):
             FGAssignment(2, vals)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_is_not_a_value(self, value):
+        with pytest.raises(TypeError):
+            FGAssignment.constant(2, value)
+
     def test_symbolic_values_allowed(self):
         ring = LaurentRing("a", "b", "c")
         a, b, c = ring.gens()

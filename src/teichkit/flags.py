@@ -17,6 +17,7 @@ canonical_vector lines, row_space planes and the returned ratios.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .encode import (
     SCHEMA,
@@ -35,7 +36,6 @@ from .linalg import (
     _fractions,
     _integer_row,
     canonical_vector,
-    det,
     identity,
     mat,
     rank,
@@ -84,9 +84,10 @@ class Flag:
     rows: tuple
 
     def __post_init__(self):
-        m = mat(_fractions(r) for r in self.rows)
-        if not m or len(m) != len(m[0]):
+        rows = [_fractions(r) for r in self.rows]
+        if not rows or any(len(r) != len(rows) for r in rows):
             raise DimensionMismatch("flag matrix must be square and nonempty")
+        m = mat(rows)
         if rank(m) != len(m):
             raise SingularFlag("flag matrix is singular")
         object.__setattr__(self, "rows", m)
@@ -416,8 +417,10 @@ def triple_ratio(config, vertex):
 
     of 3x3 determinants taken in any basis of that subspace, where A,B,C are
     the corner lines and AB,BC,CA the intermediate ones.  The value does not
-    depend on the basis nor on the scaling of any generator, so they are
-    taken of the integer lines' entries at the pivot columns of the span.
+    depend on the basis nor on the scaling of any generator: the determinants
+    are triple products (P×Q)·R of the six lines' coordinates in the first
+    three rows of one integer echelon of them as columns.  The corners may be
+    coplanar, so they are not used as a basis.
     For a generic triple F, with F* and Δ as in
     ``general_position``, triple_ratio(line_config(F), (a,b,c)) is 1/X(F*),
     Fock-Goncharov's X = Δ_{a+1,b-1,c} Δ_{a,b+1,c-1} Δ_{a-1,b,c+1} /
@@ -426,41 +429,40 @@ def triple_ratio(config, vertex):
     a, b, c = vertex
     if a + b + c != config.n or min(a, b, c) < 1:
         raise ValueError(f"{vertex} is not an interior lattice vertex for n={config.n}")
-    keys = {
-        "A": (a + 1, b - 1, c - 1),
-        "AB": (a, b, c - 1),
-        "B": (a - 1, b + 1, c - 1),
-        "BC": (a - 1, b, c),
-        "C": (a - 1, b - 1, c + 1),
-        "CA": (a, b - 1, c),
-    }
-    gens = {t: _integer_row(config.lines[k]) for t, k in keys.items()}
-    pivots = _echelon(gens.values())[1]
+    keys = (  # A, AB, B, BC, C, CA
+        (a + 1, b - 1, c - 1), (a, b, c - 1), (a - 1, b + 1, c - 1),
+        (a - 1, b, c), (a - 1, b - 1, c + 1), (a, b - 1, c),
+    )
+    m, pivots = _echelon(zip(*(config.lines[k] for k in keys), strict=True))
     if len(pivots) != 3:
         raise DegenerateConfiguration(
             f"lines around {vertex} span dimension {len(pivots)}, expected 3"
         )
-    coords = {t: [g[p] for p in pivots] for t, g in gens.items()}
-
-    def d3(p, q, r):
-        return det((coords[p], coords[q], coords[r]))
-
-    num = d3("A", "AB", "C") * d3("C", "CA", "B") * d3("B", "BC", "A")
-    den = d3("A", "AB", "B") * d3("B", "BC", "C") * d3("C", "CA", "A")
+    A, AB, B, BC, C, CA = zip(*m[:3])
+    x, y, z = _cross(A, AB), _cross(B, BC), _cross(C, CA)
+    num = sum(map(mul, x, C)) * sum(map(mul, z, B)) * sum(map(mul, y, A))
+    den = sum(map(mul, x, B)) * sum(map(mul, y, C)) * sum(map(mul, z, A))
     if den == 0:
         raise DegenerateConfiguration(f"vanishing denominator at {vertex}")
     return Fraction(num, den)
 
 
+def _cross(p, q):
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
 def pencil_cross_ratio(l1, l2, l3, l4):
     """Cross ratio of four distinct coplanar lines through the origin.
 
-    The four generators must span exactly a 2-dim subspace.  Each line is
-    mapped to its slope in the reduced echelon basis of that subspace (read
-    off its entries at the two pivot columns) and the boundary cross ratio
-    of the four slopes is returned; the result does not depend on the basis.
+    The four generators must be nonzero and span exactly a 2-dim subspace.
+    Each line is mapped to its slope in the reduced echelon basis of that
+    subspace (read off its entries at the two pivot columns) and the
+    boundary cross ratio of the four slopes is returned; the result does not
+    depend on the basis.
     """
     gens = [_fractions(v) for v in (l1, l2, l3, l4)]
+    if not all(any(g) for g in gens):
+        raise DegenerateConfiguration("a zero vector spans no line")
     pivots = _echelon(gens)[1]
     if len(pivots) > 2:
         raise NotCoplanar("lines do not lie in a common plane")

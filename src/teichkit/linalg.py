@@ -9,10 +9,10 @@ which divides each row it changes by its content; Fractions appear only in
 their results.
 
 Products cost O(n^3) and projective equality O(n^2), but det and adjugate
-expand cofactors and grow like n!; they serve small matrices (the 3x3
-determinants of flags.triple_ratio) and tests only.  Nothing large needs
-them: snakes evaluates and inverts transports from their words, and Flag
-checks invertibility by rank.
+expand cofactors and grow like n!; they serve tests only, as references, and
+no other module of the package imports them: snakes evaluates and inverts
+transports from their words, Flag checks invertibility by rank, and
+flags.triple_ratio takes its 3x3 determinants as triple products.
 """
 
 from fractions import Fraction
@@ -200,8 +200,11 @@ def _eliminate(vecs, p, k, targets):
 
 def _echelon(rows, reduced=False):
     """(integer echelon rows divided by their content, pivot columns) of rows:
-    ``_eliminate`` clears below each pivot, and above it too when ``reduced``."""
+    ``_eliminate`` clears below each pivot, and above it too when ``reduced``.
+    Rows of different lengths raise LinAlgError."""
     m = [_primitive(_integer_row(r)) for r in rows]
+    if any(len(r) != len(m[0]) for r in m):
+        raise LinAlgError("ragged rows")
     pivots = []
     for c in range(len(m[0]) if m else 0):
         r = len(pivots)
@@ -256,7 +259,9 @@ def nullspace(rows):
 
 def solve(a_rows, b):
     """One solution x of A x = b over Fraction, or None if inconsistent."""
-    a = [list(r) for r in a_rows]
+    a, b = [list(r) for r in a_rows], list(b)
+    if len(b) != len(a):
+        raise LinAlgError(f"{len(a)} equations but {len(b)} right-hand sides")
     m, pivots = rref([row + [bv] for row, bv in zip(a, b)])
     ncols = len(a[0]) if a else 0
     if ncols in pivots:

@@ -123,6 +123,9 @@ def test_structural_failure_is_schema_error(decode, doc):
 def test_domain_errors_pass_through():
     with pytest.raises(SingularFlag):
         Flag.from_json({"schema": SCHEMA, "kind": "flag", "rows": [["1", "2"], ["2", "4"]]})
+    # ragged rows are a DomainError, not linalg's bare ArithmeticError
+    with pytest.raises(DimensionMismatch):
+        Flag.from_json({"schema": SCHEMA, "kind": "flag", "rows": [["1", "2"], ["3"]]})
     values = [
         {"a": a, "b": b, "c": c, "value": "-1/1"}
         for a, b, c in ((1, 1, 0), (0, 1, 1), (1, 0, 1))

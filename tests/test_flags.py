@@ -71,6 +71,9 @@ class TestFlagType:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
             Flag([(1, 0, 0), (0, 1, 0)])
+        for ragged in ([(1, 2), (3,)], [(1,), (2, 3)], [(1, 0, 0), (0, 1), (0, 0, 1)]):
+            with pytest.raises(DimensionMismatch):
+                Flag(ragged)
 
     def test_subspace_chain(self):
         f = Flag([(1, 1, 1), (0, 1, 1), (0, 0, 1)])
@@ -290,9 +293,77 @@ def _fg_triple_ratio(rows, a, b, c):
     return num / (delta(a + 1, b, c - 1) * delta(a - 1, b + 1, c) * delta(a, b - 1, c + 1))
 
 
+def _six_keys(a, b, c):
+    """The tiles of A, AB, B, BC, C, CA around the interior vertex (a, b, c)."""
+    return [
+        (a + 1, b - 1, c - 1), (a, b, c - 1), (a - 1, b + 1, c - 1),
+        (a - 1, b, c), (a - 1, b - 1, c + 1), (a, b - 1, c),
+    ]
+
+
+def _six_vectors(rng):
+    """Rational 3-vectors for A, AB, B, BC, C, CA: free, or with coplanar
+    corners, a zero line, a line dependent on one or two others, or all six
+    in a plane."""
+    vecs = [[rng.choice(RATIONALS) for _ in range(3)] for _ in range(6)]
+    kind = rng.choice(["free", "coplanar", "zero", "multiple", "sum", "plane"])
+    s, t = rng.choice(RATIONALS), rng.choice(RATIONALS)
+    i, j, k = rng.sample(range(6), 3)
+    if kind == "coplanar":
+        vecs[4] = [s * x + t * y for x, y in zip(vecs[0], vecs[2])]
+    elif kind == "zero":
+        vecs[i] = [Q(0)] * 3
+    elif kind == "multiple":
+        vecs[i] = [s * x for x in vecs[j]]
+    elif kind == "sum":
+        vecs[i] = [s * x + t * y for x, y in zip(vecs[j], vecs[k])]
+    elif kind == "plane":
+        vecs = [[x, y, s * x + t * y] for x, y, _ in vecs]
+    return vecs
+
+
 class TestTripleRatioDefinition:
-    """triple_ratio against Fock-Goncharov's triple ratio of the dual triple,
-    written with cofactor determinants (Publ. IHÉS 103 (2006), §9)."""
+    """triple_ratio against its definition as a ratio of determinants, and
+    against Fock-Goncharov's triple ratio of the dual triple, both written
+    with cofactor determinants (Publ. IHÉS 103 (2006), §9)."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_ratio_of_determinants(self, n):
+        # the six lines are 3-vectors v times a rank-3 3 x n matrix, so their
+        # determinants in a basis of their span are those of the v
+        rng = random.Random(60 + n)
+        outcomes = []
+        for _ in range(60):
+            emb = [[rng.choice(RATIONALS) for _ in range(n)] for _ in range(3)]
+            if rank(emb) < 3:
+                continue
+            a = rng.randint(1, n - 2)
+            b = rng.randint(1, n - 1 - a)
+            vertex = (a, b, n - a - b)
+            vecs = _six_vectors(rng)
+            lines = {k: la.mat_mul([v], emb)[0] for k, v in zip(_six_keys(*vertex), vecs)}
+            config = LineConfig(n, lines, {})
+
+            def d(p, q, r):
+                return la.det((vecs[p], vecs[q], vecs[r]))
+
+            num = d(0, 1, 4) * d(4, 5, 2) * d(2, 3, 0)
+            den = d(0, 1, 2) * d(2, 3, 4) * d(4, 5, 0)
+            defined = rank(vecs) == 3 and den != 0
+            if defined:
+                got = triple_ratio(config, vertex)
+                assert got == num / den and type(got) is Q
+            else:
+                with pytest.raises(DegenerateConfiguration):
+                    triple_ratio(config, vertex)
+            outcomes.append(defined)
+        assert 10 <= sum(outcomes) <= len(outcomes) - 10
+
+    def test_lines_spanning_four_dimensions(self):
+        lines = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0), (0, 0, 1, 0)]
+        config = LineConfig(4, dict(zip(_six_keys(2, 1, 1), lines)), {})
+        with pytest.raises(DegenerateConfiguration, match="span dimension 4"):
+            triple_ratio(config, (2, 1, 1))
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_inverse_of_the_dual_fg_triple_ratio(self, n):
@@ -550,6 +621,13 @@ class TestPencilCrossRatio:
     def test_coincident_lines_degenerate(self):
         with pytest.raises(DegenerateInput):
             pencil_cross_ratio((1, 0), (0, 1), (1, 2), (2, 4))
+
+    def test_zero_vector_is_refused(self):
+        # read as slope infinity, (0, 0) would give 2
+        with pytest.raises(DegenerateConfiguration, match="zero vector"):
+            pencil_cross_ratio((0, 0), (1, 0), (1, 1), (1, 2))
+        with pytest.raises(DegenerateConfiguration, match="zero vector"):
+            pencil_cross_ratio((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 0))
 
     def test_collinear_generators_degenerate(self):
         with pytest.raises(DegenerateConfiguration):

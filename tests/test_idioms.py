@@ -4,9 +4,11 @@ Each value class is frozen: assigning to any of its fields, derived ones
 included, raises AttributeError; two constructions from the same input
 compare equal and a different input compares unequal; hashability is part of
 each class's contract (a flag, a snake and a path word are hashable, the
-dict-holding classes are not).  Three source guards ride along: no class
-overrides __setattr__, no module keeps an import it does not use, and every
-module-level private name is read somewhere in the package.
+dict-holding classes are not).  Four source guards ride along: no class
+overrides __setattr__, no module keeps an import it does not use, every
+module-level private name is read somewhere in the package, and the n!
+cofactor routines linalg.det and linalg.adjugate stay test references that
+no other module uses.
 """
 
 import ast
@@ -131,3 +133,20 @@ def test_every_private_name_is_read():
                 if d.startswith("_") and not d.startswith("__") and d not in read
             ]
     assert not dead, f"private names nothing reads: {dead}"
+
+
+def test_cofactor_routines_serve_tests_only():
+    cofactor = {"det", "adjugate"}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names} & cofactor
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = {node.attr} & cofactor if node.value.id == "linalg" else set()
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in sorted(names)]
+    assert not offenders, f"cofactor expansions outside linalg: {offenders}"

@@ -139,6 +139,17 @@ class TestEliminationDefinition:
         assert all(math.gcd(*row) == 1 for row in m[: len(pivots)])
         assert not any(x for row in m[len(pivots) :] for x in row)
 
+    @settings(max_examples=100)
+    @given(matrices())
+    def test_nullspace_is_the_kernel(self, rows):
+        # x spans the kernel: rows . x = 0, ncols - rank vectors, independent
+        basis = linalg.nullspace(rows)
+        ncols = len(rows[0]) if rows else 0
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows for v in basis)
+        assert all(len(v) == ncols for v in basis)
+        assert len(basis) == ncols - linalg.rank(rows)
+        assert linalg.rank(basis) == len(basis)
+
     def test_zero_pivot_is_refused(self):
         vecs = [[0, 1], [1, 1]]
         with pytest.raises(linalg.LinAlgError):
@@ -161,3 +172,29 @@ def test_solve_returns_one_solution_or_none():
     assert linalg.solve([[1, 2], [2, 4]], [1, 3]) is None
     x = linalg.solve([[1, 1, 0], [0, 0, 1]], [Q(1, 2), 2])
     assert x == (Q(1, 2), 0, 2) and all(type(v) is Q for v in x)
+
+
+RAGGED = [[[1, 2], [2, 4, 5]], [[1, 2, 3], [2, 4]], [[0, 0], [1]], [[Q(1, 2)], [1, 2]]]
+
+
+@pytest.mark.parametrize("rows", RAGGED, ids=["longer", "shorter", "zero-first", "fraction"])
+def test_ragged_rows_are_refused(rows):
+    for fn in (linalg.rank, linalg.rref, linalg.row_space, linalg.nullspace):
+        with pytest.raises(linalg.LinAlgError, match="ragged rows"):
+            fn(rows)
+    with pytest.raises(linalg.LinAlgError, match="ragged rows"):
+        linalg.intersect_row_spaces(rows, [[1, 0]])
+    with pytest.raises(linalg.LinAlgError, match="ragged rows"):
+        linalg.solve(rows, [1] * len(rows))
+
+
+def test_intersection_of_different_widths_is_refused():
+    with pytest.raises(linalg.LinAlgError, match="ragged rows"):
+        linalg.intersect_row_spaces([[1, 0]], [[1, 0, 0]])
+
+
+@pytest.mark.parametrize("b", [[1], [1, 2, 3], []])
+def test_solve_needs_one_right_hand_side_per_equation(b):
+    # zipping the rows with b would drop the equations past len(b)
+    with pytest.raises(linalg.LinAlgError, match="2 equations"):
+        linalg.solve([[1, 2], [3, 4]], b)

@@ -26,8 +26,20 @@ building the letter's matrix:
 
     R:     (a - b, a, c - d, c)
     L:     (-b, a - b, -d, c - d)
-    X(w):  (b/w, -a w, d/w, -c w)    X(w)^-1 = X(-w)
     K:     (-b, 0, -d, 0)
+    X:     (b q, a p, d q, c p)     lam X(w)^{+-1} = [[0, p], [q, 0]]
+
+An edge letter acts through a scaled form lam X(w)^{+-1}, which the graph
+builds once per (kind, edge) and keeps.  When every weight is exact (an int
+or a Fraction), a weight w = u/v gives the integer letter p = u^2,
+q = -v^2 with lam = -+u v: the running entries stay integers, the scales
+multiply into one integer s, and the product is the integer matrix divided
+by s once, at the end.  A word over rational weights thus does one gcd per
+entry instead of one per multiplication, and its entries are Fractions.  Over
+any other ring (float, LaurentPoly), or a graph that mixes rings, the letter
+is X(w)^{+-1} itself: p = -+w, q = -1/p and lam = 1, with no division, so
+no scaled integer meets a float and nothing overflows that the product
+itself does not.  An edge of weight 0 cannot be crossed.
 
 A dense product would spend eight multiplications and four additions per
 letter, most of them by the constants 0 and +-1; over LaurentPoly entries
@@ -35,9 +47,6 @@ each of those is a full polynomial product.  The zeros K writes are a*0
 and c*0, so they have the type of the running entries.  The matrix
 builders turn_right, turn_left, cusp_bounce, cross and cross_inv (and
 FatGraph.generator) remain for callers that need the letters themselves.
-
-An int weight is promoted to Fraction before it is inverted, so a word
-over integer weights evaluates exactly.
 
 Mat2 is the one 2x2 matrix type of the package; halfplane.MobiusMap
 subclasses it for matrices with positive determinant acting on the upper
@@ -225,7 +234,9 @@ class FatGraph:
     Internal edges appear with both ends among the vertices; open edges with
     end 0 only, their end 1 being the cusp.  Nothing is coerced: an end that
     is not an int, or an ``EdgeData.is_open`` that is not a bool, is a
-    TypeError (a SchemaError from ``from_json``).
+    TypeError (a SchemaError from ``from_json``).  The graph and its weights
+    are fixed at construction: the half-edge index and the table of scaled
+    edge letters that holonomy fills are derived from them.
     """
 
     def __init__(self, vertices, edges, genus=None, n_boundary=None):
@@ -233,6 +244,10 @@ class FatGraph:
         self.edges = dict(edges)
         self.genus = genus
         self.n_boundary = n_boundary
+        # integer letters only when every weight is exact, so that a graph
+        # mixing rings never multiplies a scaled integer by a float
+        self._exact = all(isinstance(d.weight, (int, Fraction)) for d in self.edges.values())
+        self._letters = {}
         self._where = {}
         for v, hes in self.vertices.items():
             for h in hes:
@@ -311,15 +326,38 @@ class FatGraph:
         w = self.edges[e].weight
         return cross(w) if kind == "E" else cross_inv(w)
 
+    def _letter(self, token):
+        """(p, q, lam) with lam times the token's edge letter equal to [[0, p], [q, 0]].
+
+        Over an exact graph a weight u/v gives the integers (u^2, -v^2, -+u v);
+        otherwise the letter itself, (-+w, -1/p, 1).
+        """
+        kind, e = token
+        if e not in self.edges:
+            raise UnknownEdge(f"unknown edge {e!r}")
+        w = _scalar(self.edges[e].weight)
+        if w == 0:
+            raise InvalidWord(f"edge {e!r} has weight 0 and cannot be crossed")
+        if self._exact:
+            u, v = w.numerator, w.denominator
+            return u * u, -v * v, u * v if kind == "Einv" else -u * v
+        p = w if kind == "Einv" else -w
+        return p, -1 / p, 1
+
     def holonomy(self, word):
         """The product of the word's letters, left to right, times its sign.
 
         Each letter acts on the columns of the running product (a, b, c, d)
-        as the module docstring lists; equal to the left-to-right product of
-        generator(t) from the identity, entry types included.
+        as the module docstring lists, an edge letter through its scaled
+        form, built once per (kind, edge) by _letter.  When every weight is
+        exact the entries stay integers and are divided by the product of
+        the scales once, at the end.  Equal to the left-to-right product of
+        generator(t) from the identity, entry types included.  Crossing an
+        edge of weight 0 is an InvalidWord.
         """
+        letters = self._letters
         a, b, c, d = 1, 0, 0, 1
-        edges = self.edges
+        scale, crossed = 1, False
         for t in word.tokens:
             if t == "R":
                 a, b, c, d = a - b, a, c - d, c
@@ -328,15 +366,15 @@ class FatGraph:
             elif t == "K":
                 a, b, c, d = -b, a * 0, -d, c * 0
             else:
-                kind, e = t
-                if e not in edges:
-                    raise UnknownEdge(f"unknown edge {e!r}")
-                # the letter is [[0, p], [q, 0]]: X(w) has p = -w, and
-                # X(w)^-1 = X(-w) has p = w; q = -1/p either way
-                w = _scalar(edges[e].weight)
-                p = w if kind == "Einv" else -w
-                q = -1 / p
+                letter = letters.get(t)
+                if letter is None:
+                    letter = letters[t] = self._letter(t)
+                p, q, lam = letter
                 a, b, c, d = b * q, a * p, d * q, c * p
+                scale *= lam
+                crossed = True
+        if crossed and self._exact:
+            a, b, c, d = (Fraction(x, scale) for x in (a, b, c, d))
         m = Mat2(a, b, c, d)
         return -m if word.sign == -1 else m
 

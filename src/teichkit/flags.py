@@ -15,8 +15,10 @@ row it changes by its content.  Fractions appear only in results:
 canonical_vector lines, row_space planes and the returned ratios.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 from .encode import (
@@ -300,11 +302,14 @@ class LineConfig:
 
     A rank n that is not an int (a bool included) is a TypeError, which
     ``from_json`` reports as a SchemaError; the rank is never coerced.  A
-    rank below 1, or a key that is not a nonnegative int triple with the
-    right sum, is a DimensionMismatch; keys are checked by arithmetic, never
-    against an enumerated lattice, so a huge n costs nothing.  ``from_json``
-    accepts a key only in the spelling ``to_json`` writes ("1,0,0", not
-    "01,0,0"), so no two JSON keys name the same tile.
+    rank below 1, a key that is not a nonnegative int triple with the right
+    sum, a line that is not a list or tuple of n numbers, or a plane that is
+    not a list or tuple of such rows, is a DimensionMismatch.  A number is an
+    int, a Fraction or a finite float, by exact type, so a bool is not one.
+    Keys are checked by arithmetic, never against an enumerated lattice, so
+    a huge n costs nothing.  ``from_json`` accepts a key only in the
+    spelling ``to_json`` writes ("1,0,0", not "01,0,0"), so no two JSON keys
+    name the same tile.
     """
 
     n: int
@@ -320,6 +325,19 @@ class LineConfig:
             raise DimensionMismatch(f"rank must be at least 1, got {self.n}")
         object.__setattr__(self, "lines", _lattice_keyed(self.lines, self.n - 1, "line"))
         object.__setattr__(self, "planes", _lattice_keyed(self.planes, self.n - 2, "plane"))
+        # passes of map and chain keep this small next to the elimination
+        # that built the lines
+        planes = list(self.planes.values())
+        if not set(map(type, planes)) <= {list, tuple}:
+            raise DimensionMismatch("a plane is not a list or tuple of rows")
+        vectors = [*self.lines.values(), *chain.from_iterable(planes)]
+        if not set(map(type, vectors)) <= {list, tuple} or set(map(len, vectors)) - {self.n}:
+            raise DimensionMismatch(f"a line or plane row is not a vector of length {self.n}")
+        kinds = set(map(type, chain.from_iterable(vectors)))
+        if not kinds <= {int, Fraction, float} or float in kinds and not all(
+            math.isfinite(x) for x in chain.from_iterable(vectors) if type(x) is float
+        ):
+            raise DimensionMismatch("a line or plane entry is not a finite number")
 
     def __repr__(self):
         return f"LineConfig(n={self.n}, {len(self.lines)} lines, {len(self.planes)} planes)"

@@ -16,7 +16,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from xml.sax.saxutils import escape, quoteattr
 
 from .encode import SCHEMA, _vector_from_json, check_schema, scalar_from_json, scalar_to_json
 from .errors import DomainError, SchemaError
@@ -50,8 +49,28 @@ _DEFAULT_COLOR = {
 }
 
 
-# a character outside XML 1.0's Char production, which no SVG file can hold
-_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+# a character outside XML 1.0's Char production, which no SVG file can hold;
+# the class lists that production's complement, which compiles far faster
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _escape(text):
+    """Character data with &, < and > as entities, as xml.sax.saxutils.escape writes it."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _quoteattr(text):
+    """A quoted attribute value, as xml.sax.saxutils.quoteattr writes it.
+
+    saxutils itself is not imported: it loads urllib.request and with it the
+    HTTP, email and ssl modules, which would dominate the package's import time.
+    """
+    text = _escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
 
 
 def coordinate_to_json(v):
@@ -265,7 +284,7 @@ def _fmt(t):
 
 
 def _stroke(color, width="1.6"):
-    return f'stroke={quoteattr(color)} stroke-width="{width}" fill="none"'
+    return f'stroke={_quoteattr(color)} stroke-width="{width}" fill="none"'
 
 
 def _geodesic_svg(color, p, q):
@@ -300,7 +319,7 @@ def _circle_svg(color, x, y, r):
 
 
 def _point_svg(color, x, y):
-    return f'<circle cx="{_fmt(_sx(x))}" cy="{_fmt(_sy(y))}" r="3.5" fill={quoteattr(color)}/>'
+    return f'<circle cx="{_fmt(_sx(x))}" cy="{_fmt(_sy(y))}" r="3.5" fill={_quoteattr(color)}/>'
 
 
 def _segment(a, b):
@@ -330,8 +349,8 @@ def _polygon_svg(color, *verts):
         parts.append(_segment(a, b))
     parts.append("Z")
     return (
-        f'<path d="{" ".join(parts)}" fill={quoteattr(color)} fill-opacity="0.15" '
-        f'stroke={quoteattr(color)} stroke-width="1.2"/>'
+        f'<path d="{" ".join(parts)}" fill={_quoteattr(color)} fill-opacity="0.15" '
+        f'stroke={_quoteattr(color)} stroke-width="1.2"/>'
     )
 
 
@@ -429,7 +448,7 @@ def render_svg(scene):
         x, y, anchor = _label_anchor(el)
         out.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="monospace" font-size="12" '
-            f'text-anchor="{anchor}" fill={quoteattr(color)}>{escape(el.label)}</text>'
+            f'text-anchor="{anchor}" fill={_quoteattr(color)}>{_escape(el.label)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

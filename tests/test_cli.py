@@ -69,6 +69,16 @@ def test_holonomy_error_exits(pants_files, tmp_path, capsys):
     assert cli.main(["holonomy", str(gp), str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("flags", [[], ["--scalar", "float"]], ids=["rational", "float"])
+def test_holonomy_across_a_zero_weight_exits_3(pants_files, capsys, flags):
+    gp, wp = pants_files
+    doc = json.loads(gp.read_text())
+    doc["edges"]["s2"]["weight"] = "0/1"
+    gp.write_text(json.dumps(doc))
+    assert cli.main(["holonomy", str(gp), str(wp), *flags]) == 3
+    assert capsys.readouterr().err.startswith("InvalidWord: edge 's2' has weight 0")
+
+
 @pytest.mark.parametrize(
     "edit, flags",
     [

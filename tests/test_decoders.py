@@ -262,6 +262,38 @@ def test_line_config_vectors_are_lists(lines, planes):
 
 
 @pytest.mark.parametrize(
+    "lines, planes",
+    [
+        ({(2, 0, 0): (1, 2, 0), (0, 0, 2): ("x",)}, {}),
+        ({(2, 0, 0): (1, 2)}, {}),
+        ({(2, 0, 0): (1, 0, 0, 0)}, {}),
+        ({(2, 0, 0): (True, 0, 0)}, {}),
+        ({(2, 0, 0): (1.0, math.nan, 0.0)}, {}),
+        ({(2, 0, 0): "100"}, {}),
+        ({(2, 0, 0): 7}, {}),
+        ({}, {(0, 1, 0): ((1, 0, 0), (0, 1))}),
+        ({}, {(0, 1, 0): ((1, 0, 0), (0, "1", 0))}),
+        ({}, {(0, 1, 0): 5}),
+    ],
+    ids=["x", "short", "long", "bool", "nan", "string", "int", "short-row", "string-entry", "plane-int"],
+)
+def test_line_config_vectors_have_n_numbers(lines, planes):
+    with pytest.raises(DimensionMismatch):
+        LineConfig(3, lines, planes)
+
+
+@pytest.mark.parametrize(
+    "lines, planes",
+    [({"0,0,2": ["1/1"]}, {}), ({}, {"0,1,0": [["1/1"]]}), ({"2,0,0": ["1/1", "0/1"]}, {})],
+    ids=["line", "plane", "line-of-two"],
+)
+def test_line_config_from_json_checks_lengths(lines, planes):
+    doc = {"schema": SCHEMA, "kind": "line_config", "n": 3, "lines": lines, "planes": planes}
+    with pytest.raises(DimensionMismatch):
+        LineConfig.from_json(doc)
+
+
+@pytest.mark.parametrize(
     "vertex", [["0/1", "1/1", "9"], ["0/1"], "12"], ids=["three", "one", "string"]
 )
 def test_polygon_vertex_is_two_scalars(vertex):

@@ -272,11 +272,12 @@ def dense_holonomy(graph, word):
     return -m if word.sign == -1 else m
 
 
-@pytest.mark.parametrize("mode", ["rational", "laurent", "float"])
+@pytest.mark.parametrize("mode", ["rational", "int", "laurent", "float"])
 def test_holonomy_equals_dense_product(mode):
     rng = random.Random(5)
     weight = {
-        "rational": lambda: F(rng.randint(1, 9), rng.randint(1, 9)),
+        "rational": lambda: rng.choice((1, -1)) * F(rng.randint(1, 9), rng.randint(1, 9)),
+        "int": lambda: rng.choice((1, -1)) * rng.randint(1, 9),
         "laurent": lambda: RING.monomial(
             F(rng.randint(1, 5), rng.randint(1, 5)), x=rng.randint(-2, 2), y=rng.randint(-2, 2)
         ),
@@ -291,6 +292,72 @@ def test_holonomy_equals_dense_product(mode):
         assert got == want
         if mode != "float":
             assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def loop_word(rng, loops, length):
+    """A product of boundary loops and their inverses, cut to `length` tokens."""
+    names, tokens, sign = sorted(loops), [], 1
+    while len(tokens) < length:
+        w = loops[rng.choice(names)]
+        if rng.random() < 0.5:
+            w = w.inverse()
+        tokens.extend(w.tokens)
+        sign *= w.sign
+    return PathWord(tuple(tokens[:length]), sign)
+
+
+@pytest.mark.parametrize("length", [500, 2000])
+def test_long_rational_words_equal_the_dense_product(length):
+    g, loops = four_holed_sphere([F(3, 2), F(-5, 7), F(9, 4)], [F(2, 3), F(7, 5), F(-4, 9)])
+    word = loop_word(random.Random(length), loops, length)
+    got, want = g.holonomy(word).entries(), dense_holonomy(g, word).entries()
+    assert got == want and all(type(x) is F for x in got)
+    assert max(x.denominator.bit_length() for x in got) > length // 4
+
+
+def test_long_float_words_equal_the_dense_product_without_overflow():
+    g, loops = pair_of_pants(1.5, 2.0, 1.2)
+    word = loop_word(random.Random(1), loops, 2000)
+    got = g.holonomy(word).entries()
+    assert got == dense_holonomy(g, word).entries()
+    assert 1e110 < max(abs(x) for x in got) < 1e130
+    # X(9)^2 = -1 exactly in floats: 2,000 letters of weight 9 give the
+    # identity, where any integer split of 9.0 would pass 9^2000
+    g, _ = pair_of_pants(9.0, 2.0, 3.0)
+    assert g.holonomy(PathWord((("E", "s1"),) * 2000)).entries() == (1, 0, 0, 1)
+
+
+def test_words_mixing_exact_and_float_weights_agree_within_rounding():
+    g, loops = pair_of_pants(F(9), 2.0, 5)
+    for seed in range(20):
+        word = loop_word(random.Random(seed), loops, 300)
+        got, want = g.holonomy(word).entries(), dense_holonomy(g, word).entries()
+        assert all(type(x) is float for x in got)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+    # 400 letters of weight 9 as integers (81 per letter) before one float
+    # letter would pass the float range; the true product stays +-1
+    word = PathWord((("E", "s1"),) * 400 + (("E", "s2"),))
+    assert g.holonomy(word).entries() == dense_holonomy(g, word).entries()
+
+
+def test_words_without_edge_letters_keep_int_entries():
+    word = PathWord(("R", "L", "K", "R", "R"), sign=-1)
+    for g in (pair_of_pants(F(3, 2), F(2), F(5))[0], pair_of_pants(1.5, 2.0, 5.0)[0]):
+        got = g.holonomy(word).entries()
+        assert got == dense_holonomy(g, word).entries()
+        assert all(type(x) is int for x in got)
+
+
+@pytest.mark.parametrize(
+    "zero", [0, F(0), 0.0, -0.0, RING.zero], ids=["int", "fraction", "float", "minus-float", "laurent"]
+)
+def test_crossing_a_zero_weight_is_an_invalid_word(zero):
+    g, loops = pair_of_pants(zero, zero + 2, zero + 3)
+    for kind in ("E", "Einv"):
+        with pytest.raises(InvalidWord, match="weight 0"):
+            g.holonomy(PathWord(("R", (kind, "s1"))))
+    # loop1 does not cross s1
+    assert g.holonomy(loops["loop1"]) == dense_holonomy(g, loops["loop1"])
 
 
 def test_integer_weights_evaluate_exactly():

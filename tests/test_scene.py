@@ -1,10 +1,17 @@
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 
 from teichkit.errors import SchemaError
 from teichkit.halfplane import INFINITY, DegenerateInput
+from teichkit import scene
 from teichkit.scene import (
     BadGeometry,
     Scene,
@@ -201,6 +208,40 @@ def test_labels_are_escaped():
     svg = render_svg(Scene((point(0, 1, label="a<&>b"),)))
     assert "a&lt;&amp;&gt;b" in svg
     assert "a<&>b" not in svg
+
+
+def test_escapers_write_what_saxutils_writes():
+    rng = random.Random(16)
+    for _ in range(400):
+        text = "".join(rng.choice("&<>\"'\n\r\tx ") for _ in range(rng.randint(0, 10)))
+        assert scene._escape(text) == escape(text)
+        assert scene._quoteattr(text) == quoteattr(text)
+
+
+def is_xml_char(cp):
+    """XML 1.0's Char production."""
+    return (
+        cp in (0x9, 0xA, 0xD)
+        or 0x20 <= cp <= 0xD7FF
+        or 0xE000 <= cp <= 0xFFFD
+        or 0x10000 <= cp <= 0x10FFFF
+    )
+
+
+def test_refused_characters_are_those_outside_the_xml_char_production():
+    ends = [0x9, 0xA, 0xD, 0x20, 0xD7FF, 0xE000, 0xFFFD, 0x10000, 0x10FFFF]
+    rng = random.Random(16)
+    cps = {c + k for c in ends for k in (-1, 0, 1)} | {rng.randrange(0x110000) for _ in range(2000)}
+    for cp in sorted(c for c in cps if 0 <= c < 0x110000):
+        assert (scene._NOT_XML_CHAR.search(chr(cp)) is None) == is_xml_char(cp), hex(cp)
+
+
+def test_importing_the_cli_loads_no_http_stack():
+    src = Path(scene.__file__).resolve().parents[1]
+    code = "import sys, teichkit.cli; print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_right_to_left_polygon_side_flips_sweep():

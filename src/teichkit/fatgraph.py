@@ -147,13 +147,21 @@ def cusp_bounce():
     return Mat2(0, 0, -1, 0)
 
 
-def cross(weight):
+def _crossable(weight, edge="an edge"):
+    """The weight as a scalar; an InvalidWord at weight 0, which no letter crosses."""
     weight = _scalar(weight)
+    if weight == 0:
+        raise InvalidWord(f"{edge} has weight 0 and cannot be crossed")
+    return weight
+
+
+def cross(weight):
+    weight = _crossable(weight)
     return Mat2(0, -weight, 1 / weight, 0)
 
 
 def cross_inv(weight):
-    weight = _scalar(weight)
+    weight = _crossable(weight)
     return Mat2(0, weight, -1 / weight, 0)
 
 
@@ -321,10 +329,14 @@ class FatGraph:
         if token == "K":
             return cusp_bounce()
         kind, e = token
+        w = self._edge_weight(e)
+        return cross(w) if kind == "E" else cross_inv(w)
+
+    def _edge_weight(self, e):
+        """Edge e's weight as a scalar; an unknown edge or weight 0 is an InvalidWord."""
         if e not in self.edges:
             raise UnknownEdge(f"unknown edge {e!r}")
-        w = self.edges[e].weight
-        return cross(w) if kind == "E" else cross_inv(w)
+        return _crossable(self.edges[e].weight, f"edge {e!r}")
 
     def _letter(self, token):
         """(p, q, lam) with lam times the token's edge letter equal to [[0, p], [q, 0]].
@@ -333,11 +345,7 @@ class FatGraph:
         otherwise the letter itself, (-+w, -1/p, 1).
         """
         kind, e = token
-        if e not in self.edges:
-            raise UnknownEdge(f"unknown edge {e!r}")
-        w = _scalar(self.edges[e].weight)
-        if w == 0:
-            raise InvalidWord(f"edge {e!r} has weight 0 and cannot be crossed")
+        w = self._edge_weight(e)
         if self._exact:
             u, v = w.numerator, w.denominator
             return u * u, -v * v, u * v if kind == "Einv" else -u * v

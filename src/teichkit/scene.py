@@ -4,7 +4,8 @@ A scene is an ordered list of drawable elements: geodesics, horocycles,
 Euclidean circles, marked points and geodesic polygons, each with optional
 color/label strings.  Rendering is deterministic (fixed viewBox, canonical
 element order, fixed decimal formatting) so equal scenes produce
-byte-identical SVG.
+byte-identical SVG.  One record per kind in _KINDS defines an element kind:
+its draw layer, default color, JSON fields, constructor and SVG writer.
 
 The three-holed-sphere builders turn exponentiated shear coordinates into
 boundary Mobius maps and the classical picture: three invariant axes, the
@@ -33,20 +34,6 @@ from .halfplane import (
 class BadGeometry(DomainError):
     """Element data outside the model: below the boundary, nonpositive size,
     or a color or label that SVG cannot carry."""
-
-
-KINDS = ("geodesic", "horocycle", "circle", "point", "polygon")
-
-# z-order when rendering: fills under strokes under markers
-_KIND_LAYER = {"polygon": 0, "geodesic": 1, "horocycle": 2, "circle": 3, "point": 4}
-
-_DEFAULT_COLOR = {
-    "geodesic": "#2d5fa6",
-    "horocycle": "#b07a2d",
-    "circle": "#2d8a57",
-    "point": "#333333",
-    "polygon": "#888888",
-}
 
 
 # a character outside XML 1.0's Char production, which no SVG file can hold;
@@ -114,8 +101,8 @@ class SceneElement:
 
     def to_json(self):
         doc = {"kind": self.kind, "color": self.color, "label": self.label}
-        if self.kind in _JSON_FIELDS:
-            fields = _JSON_FIELDS[self.kind][1]
+        fields = _KINDS[self.kind][2]
+        if fields is not None:
             doc.update(zip(fields, map(coordinate_to_json, self.geometry)))
         else:
             doc["vertices"] = [
@@ -188,17 +175,6 @@ def polygon(vertices, color="", label=""):
     return SceneElement("polygon", tuple(vs), color, label)
 
 
-# kind -> (constructor, JSON geometry fields in geometry order); "inf" stands
-# for INFINITY, which a constructor refuses where its kind does not allow it.
-# A polygon keeps its vertex list.
-_JSON_FIELDS = {
-    "geodesic": (geodesic, ("p", "q")),
-    "horocycle": (horocycle, ("base", "size")),
-    "circle": (circle, ("x", "y", "r")),
-    "point": (point, ("x", "y")),
-}
-
-
 def element_from_json(doc, mode="rational"):
     if not isinstance(doc, dict):
         raise SchemaError("element must be a JSON object")
@@ -208,9 +184,9 @@ def element_from_json(doc, mode="rational"):
     color, label = doc.get("color", ""), doc.get("label", "")
     if not (isinstance(color, str) and isinstance(label, str)):
         raise SchemaError("color and label must be strings")
+    _, _, fields, build, _ = _KINDS[kind]
     try:
-        if kind in _JSON_FIELDS:
-            build, fields = _JSON_FIELDS[kind]
+        if fields is not None:
             coords = [coordinate_from_json(doc[f], mode) for f in fields]
             return build(*coords, color=color, label=label)
         verts = [
@@ -219,7 +195,7 @@ def element_from_json(doc, mode="rational"):
         ]
         if any(v is not INFINITY and len(v) != 2 for v in verts):
             raise SchemaError('a polygon vertex is "inf" or a list of two scalars')
-        return polygon(verts, color=color, label=label)
+        return build(verts, color=color, label=label)
     except KeyError as exc:
         raise SchemaError(f"element missing field {exc}") from exc
     except (TypeError, IndexError, ValueError) as exc:
@@ -289,37 +265,47 @@ def _stroke(color, width="1.6"):
 
 def _geodesic_svg(color, p, q):
     if p is INFINITY or q is INFINITY:
-        foot = q if p is INFINITY else p
-        x = _fmt(_sx(foot))
-        return f'<line x1="{x}" y1="{_fmt(_BASE)}" x2="{x}" y2="0.000" {_stroke(color)}/>'
+        foot = _sx(q if p is INFINITY else p)
+        x = _fmt(foot)
+        svg = f'<line x1="{x}" y1="{_fmt(_BASE)}" x2="{x}" y2="0.000" {_stroke(color)}/>'
+        return svg, (foot + 4.0, 14.0, "start")
     lo, hi = sorted((float(p), float(q)))
     r = _fmt((hi - lo) / 2.0 * _PPU)
-    return (
+    svg = (
         f'<path d="M {_fmt(_sx(lo))} {_fmt(_BASE)} '
         f'A {r} {r} 0 0 1 {_fmt(_sx(hi))} {_fmt(_BASE)}" {_stroke(color)}/>'
     )
+    return svg, (_sx((lo + hi) / 2.0) + 4.0, _sy((hi - lo) / 2.0) - 5.0, "start")
 
 
 def _horocycle_svg(color, base, size):
+    top = _sy(size)
     if base is INFINITY:
-        y = _fmt(_sy(size))
-        return f'<line x1="0.000" y1="{y}" x2="{_fmt(_W)}" y2="{y}" {_stroke(color, "1.4")}/>'
+        y = _fmt(top)
+        svg = f'<line x1="0.000" y1="{y}" x2="{_fmt(_W)}" y2="{y}" {_stroke(color, "1.4")}/>'
+        return svg, (6.0, top - 5.0, "start")
     half = float(size) / 2.0
-    return (
-        f'<circle cx="{_fmt(_sx(base))}" cy="{_fmt(_sy(half))}" r="{_fmt(half * _PPU)}" '
+    cx = _sx(base)
+    svg = (
+        f'<circle cx="{_fmt(cx)}" cy="{_fmt(_sy(half))}" r="{_fmt(half * _PPU)}" '
         f'{_stroke(color, "1.4")}/>'
     )
+    return svg, (cx + 4.0, top - 5.0, "start")
 
 
 def _circle_svg(color, x, y, r):
-    return (
-        f'<circle cx="{_fmt(_sx(x))}" cy="{_fmt(_sy(y))}" r="{_fmt(float(r) * _PPU)}" '
+    cx = _sx(x)
+    svg = (
+        f'<circle cx="{_fmt(cx)}" cy="{_fmt(_sy(y))}" r="{_fmt(float(r) * _PPU)}" '
         f'{_stroke(color, "1.4")}/>'
     )
+    return svg, (cx + 4.0, _sy(float(y) + float(r)) - 5.0, "start")
 
 
 def _point_svg(color, x, y):
-    return f'<circle cx="{_fmt(_sx(x))}" cy="{_fmt(_sy(y))}" r="3.5" fill={_quoteattr(color)}/>'
+    cx, cy = _sx(x), _sy(y)
+    svg = f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3.5" fill={_quoteattr(color)}/>'
+    return svg, (cx + 5.0, cy - 5.0, "start")
 
 
 def _segment(a, b):
@@ -341,27 +327,35 @@ def _segment(a, b):
 
 
 def _polygon_svg(color, *verts):
-    start = next(i for i, v in enumerate(verts) if v is not INFINITY)
+    finite = [v for v in verts if v is not INFINITY]
+    cx = sum(float(v[0]) for v in finite) / len(finite)
+    cy = sum(float(v[1]) for v in finite) / len(finite)
+    start = verts.index(finite[0])
     verts = verts[start:] + verts[:start]
-    x0, y0 = verts[0]
-    parts = [f"M {_fmt(_sx(x0))} {_fmt(_sy(y0))}"]
-    for a, b in zip(verts, verts[1:] + verts[:1]):
-        parts.append(_segment(a, b))
-    parts.append("Z")
-    return (
-        f'<path d="{" ".join(parts)}" fill={_quoteattr(color)} fill-opacity="0.15" '
+    sides = " ".join(_segment(a, b) for a, b in zip(verts, verts[1:] + verts[:1]))
+    x, y = finite[0]
+    d = f"M {_fmt(_sx(x))} {_fmt(_sy(y))} {sides} Z"
+    svg = (
+        f'<path d="{d}" fill={_quoteattr(color)} fill-opacity="0.15" '
         f'stroke={_quoteattr(color)} stroke-width="1.2"/>'
     )
+    return svg, (_sx(cx), _sy(cy), "middle")
 
 
-# kind -> SVG writer, called as writer(color, *geometry)
-_SVG_WRITERS = {
-    "geodesic": _geodesic_svg,
-    "horocycle": _horocycle_svg,
-    "circle": _circle_svg,
-    "point": _point_svg,
-    "polygon": _polygon_svg,
+# kind -> (draw layer, default color, JSON geometry fields, constructor, writer).
+# Layers put fills under strokes under markers.  The fields name the geometry
+# in order, "inf" standing for INFINITY, which a constructor refuses where its
+# kind does not allow it; None keeps a polygon's vertex list.  The writer, called
+# as writer(color, *geometry), returns the element's SVG and its label's anchor
+# (x, y, text-anchor) in pixels.
+_KINDS = {
+    "geodesic": (1, "#2d5fa6", ("p", "q"), geodesic, _geodesic_svg),
+    "horocycle": (2, "#b07a2d", ("base", "size"), horocycle, _horocycle_svg),
+    "circle": (3, "#2d8a57", ("x", "y", "r"), circle, _circle_svg),
+    "point": (4, "#333333", ("x", "y"), point, _point_svg),
+    "polygon": (0, "#888888", None, polygon, _polygon_svg),
 }
+KINDS = tuple(_KINDS)
 
 
 def _sort_key(el):
@@ -380,33 +374,7 @@ def _sort_key(el):
         geom = tuple(c(v) if v is INFINITY else (0, float(v[0]), float(v[1])) for v in g)
     else:
         geom = tuple(c(v) for v in g)
-    return (_KIND_LAYER[el.kind], el.kind, geom, el.color, el.label)
-
-
-def _label_anchor(el):
-    g = el.geometry
-    if el.kind == "geodesic":
-        p, q = g
-        if p is INFINITY or q is INFINITY:
-            foot = q if p is INFINITY else p
-            return _sx(foot) + 4.0, 14.0, "start"
-        lo, hi = sorted((float(p), float(q)))
-        return _sx((lo + hi) / 2.0) + 4.0, _sy((hi - lo) / 2.0) - 5.0, "start"
-    if el.kind == "horocycle":
-        base, size = g
-        if base is INFINITY:
-            return 6.0, _sy(size) - 5.0, "start"
-        return _sx(base) + 4.0, _sy(size) - 5.0, "start"
-    if el.kind == "circle":
-        x, y, r = g
-        return _sx(x) + 4.0, _sy(float(y) + float(r)) - 5.0, "start"
-    if el.kind == "point":
-        x, y = g
-        return _sx(x) + 5.0, _sy(y) - 5.0, "start"
-    finite = [v for v in g if v is not INFINITY]
-    cx = sum(float(v[0]) for v in finite) / len(finite)
-    cy = sum(float(v[1]) for v in finite) / len(finite)
-    return _sx(cx), _sy(cy), "middle"
+    return (_KINDS[el.kind][0], el.kind, geom, el.color, el.label)
 
 
 def render_svg(scene):
@@ -417,7 +385,6 @@ def render_svg(scene):
     kind, then serialized form), labels on top.  The empty scene renders
     the real and imaginary axes with integer ticks.
     """
-    ordered = sorted(scene.elements, key=_sort_key)
     out = [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 880 460" '
         'width="880" height="460">',
@@ -439,17 +406,18 @@ def render_svg(scene):
         f'<line x1="0.000" y1="{_fmt(_BASE)}" x2="{_fmt(_W)}" y2="{_fmt(_BASE)}" '
         'stroke="#444444" stroke-width="1.5"/>'
     )
-    for el in ordered:
-        out.append(_SVG_WRITERS[el.kind](el.color or _DEFAULT_COLOR[el.kind], *el.geometry))
-    for el in ordered:
-        if not el.label:
-            continue
-        color = el.color or _DEFAULT_COLOR[el.kind]
-        x, y, anchor = _label_anchor(el)
-        out.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="monospace" font-size="12" '
-            f'text-anchor="{anchor}" fill={_quoteattr(color)}>{_escape(el.label)}</text>'
-        )
+    labels = []
+    for el in sorted(scene.elements, key=_sort_key):
+        _, default, _, _, write = _KINDS[el.kind]
+        color = el.color or default
+        svg, (x, y, anchor) = write(color, *el.geometry)
+        out.append(svg)
+        if el.label:
+            labels.append(
+                f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="monospace" font-size="12" '
+                f'text-anchor="{anchor}" fill={_quoteattr(color)}>{_escape(el.label)}</text>'
+            )
+    out += labels
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

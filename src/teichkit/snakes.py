@@ -30,7 +30,7 @@ word, which adds one n^2 scaling.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from operator import add, sub
 
 from .encode import SCHEMA, check_schema, decoding, scalar_from_json, scalar_to_json
@@ -418,8 +418,8 @@ def _check_value(key, v):
     if isinstance(v, (int, float, Fraction)):
         if isinstance(v, bool):
             raise TypeError(f"variable at {key} must be a number, got {v!r}")
-        if not v > 0:
-            raise NonpositiveVariable(f"variable at {key} must be positive, got {v}")
+        if not v > 0 or isinstance(v, float) and not isfinite(v):
+            raise NonpositiveVariable(f"variable at {key} must be a positive finite number, got {v}")
     else:
         is_zero = getattr(v, "is_zero", None)
         if callable(is_zero) and is_zero():

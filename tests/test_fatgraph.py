@@ -360,6 +360,21 @@ def test_crossing_a_zero_weight_is_an_invalid_word(zero):
     assert g.holonomy(loops["loop1"]) == dense_holonomy(g, loops["loop1"])
 
 
+@pytest.mark.parametrize("zero", [F(0), 0.0], ids=["rational", "float"])
+def test_generator_refuses_a_zero_weight_as_holonomy_does(zero):
+    g, _ = pair_of_pants(zero, zero + 2, zero + 3)
+    for kind, letter in (("E", cross), ("Einv", cross_inv)):
+        with pytest.raises(InvalidWord) as via_word:
+            g.holonomy(PathWord(((kind, "s1"),)))
+        with pytest.raises(InvalidWord) as via_generator:
+            g.generator((kind, "s1"))
+        message = "edge 's1' has weight 0 and cannot be crossed"
+        assert str(via_generator.value) == str(via_word.value) == message
+        with pytest.raises(InvalidWord, match="weight 0"):
+            letter(zero)
+    assert g.generator(("E", "s2")) == cross(zero + 2)
+
+
 def test_integer_weights_evaluate_exactly():
     g_int, loops = pair_of_pants(2, 3, 5)
     g_exact, _ = pair_of_pants(F(2), F(3), F(5))

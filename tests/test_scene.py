@@ -210,6 +210,34 @@ def test_labels_are_escaped():
     assert "a<&>b" not in svg
 
 
+def test_every_kind_places_its_label():
+    s = Scene(
+        (
+            geodesic(-1, 2, label="arc"),
+            geodesic(F(1, 2), INFINITY, label="ray"),
+            horocycle(F(-3, 2), 1, label="h"),
+            horocycle(INFINITY, F(5, 2), label="top"),
+            circle(1, 3, F(1, 2), label="c"),
+            point(F(-1, 4), 2, label="pt"),
+            polygon([(-2, 0), INFINITY, (1, 2)], color="#123456", label="dom"),
+        )
+    )
+    lines = render_svg(s).splitlines()
+    labels = [line for line in lines if 'font-size="12"' in line]
+    attrs = 'font-family="monospace" font-size="12"'
+    assert labels == [
+        f'<text x="400.000" y="360.000" {attrs} text-anchor="middle" fill="#123456">dom</text>',
+        f'<text x="484.000" y="315.000" {attrs} text-anchor="start" fill="#2d5fa6">arc</text>',
+        f'<text x="484.000" y="14.000" {attrs} text-anchor="start" fill="#2d5fa6">ray</text>',
+        f'<text x="324.000" y="355.000" {attrs} text-anchor="start" fill="#b07a2d">h</text>',
+        f'<text x="6.000" y="235.000" {attrs} text-anchor="start" fill="#b07a2d">top</text>',
+        f'<text x="524.000" y="155.000" {attrs} text-anchor="start" fill="#2d8a57">c</text>',
+        f'<text x="425.000" y="275.000" {attrs} text-anchor="start" fill="#333333">pt</text>',
+    ]
+    # labels sit on top: they follow every element, and only the closing tag follows them
+    assert lines[-len(labels) - 1 : -1] == labels
+
+
 def test_escapers_write_what_saxutils_writes():
     rng = random.Random(16)
     for _ in range(400):

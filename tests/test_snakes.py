@@ -67,43 +67,20 @@ def example_config():
     return line_config(standard_flag(3), reversed_flag(3), f3)
 
 
-def jacobi_upper(n, k, t):
-    m = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
-    m[k - 1][k] = t
-    return m
-
-
-def positive_unitriangular(n, rng):
-    # positive Jacobi parameters along a reduced word give a configuration
-    # with all triple ratios positive
-    word = []
-    for top in range(1, n):
-        word.extend(range(top, 0, -1))
-    u = identity(n)
-    for k in word:
-        u = mat_mul(u, jacobi_upper(n, k, Q(rng.randint(1, 40), rng.randint(1, 12))))
-    return u
-
-
-def positive_config(n, seed):
-    rng = random.Random(seed)
-    f1, f2 = standard_flag(n), reversed_flag(n)
-    while True:
-        f3 = Flag(positive_unitriangular(n, rng))
-        if not general_position(f1, f2, f3):
-            continue
-        cfg = line_config(f1, f2, f3)
-        ratios = {v: triple_ratio(cfg, v) for v in interior_vertices(n)}
-        if all(r > 0 for r in ratios.values()):
-            return cfg, ratios
-
-
 def random_assignment(n, seed):
     rng = random.Random(seed)
     keys = side_vertices(n) + interior_vertices(n)
     return FGAssignment(
         n, {k: Q(rng.randint(1, 60), rng.randint(1, 17)) for k in keys}
     )
+
+
+def positive_config(n, seed):
+    # the flags of a positive assignment's first transport: their triple
+    # ratios are its interior values (TestFlagOracle's round trip)
+    f3 = Flag(transport(n, 1, random_assignment(n, seed)))
+    cfg = line_config(standard_flag(n), reversed_flag(n), f3)
+    return cfg, {v: triple_ratio(cfg, v) for v in interior_vertices(n)}
 
 
 class TestElementary:
@@ -605,7 +582,22 @@ class TestAdjugateScalar:
 class TestFlagOracle:
     """Transports rebuilt from exact flag data via the orientation rule."""
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("which", [1, 2, 3])
+    def test_transport_flags_have_the_assignment_as_triple_ratios(self, n, which):
+        # the flags read off T_which(z) from the standard and reversed flags
+        # are generic, and their triple ratio at (a, b, c) is z at (a, b, c),
+        # (c, a, b) or (b, c, a): the FG coordinates of the triangle, read
+        # backwards; side values do not enter
+        z = random_assignment(n, 100 * n + which)
+        f1, f2, f3 = standard_flag(n), reversed_flag(n), Flag(transport(n, which, z))
+        assert general_position(f1, f2, f3)
+        cfg = line_config(f1, f2, f3)
+        for a, b, c in interior_vertices(n):
+            key = {1: (a, b, c), 2: (c, a, b), 3: (b, c, a)}[which]
+            assert triple_ratio(cfg, (a, b, c)) == z[key]
+
+    @pytest.mark.parametrize("n", range(3, 9))
     def test_all_three_transports(self, n):
         cfg, ratios = positive_config(n, 500 + n)
         vals = {v: Q(1) for v in side_vertices(n)}
@@ -675,6 +667,15 @@ class TestAssignment:
             FGAssignment(2, vals)
         vals[(1, 1, 0)] = Q(-2)
         with pytest.raises(NonpositiveVariable):
+            FGAssignment(2, vals)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=repr)
+    def test_nonfinite_float_is_refused(self, value):
+        with pytest.raises(NonpositiveVariable, match="positive finite number"):
+            FGAssignment.constant(3, value)
+        vals = {v: Q(1) for v in side_vertices(2)}
+        vals[(1, 1, 0)] = value
+        with pytest.raises(NonpositiveVariable, match="positive finite number"):
             FGAssignment(2, vals)
 
     @pytest.mark.parametrize("value", [True, False])

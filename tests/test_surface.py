@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from teichkit.encode import SCHEMA, scalar_from_json
 from teichkit.errors import DomainError, SchemaError
-from teichkit.fatgraph import four_holed_sphere
+from teichkit.fatgraph import four_holed_sphere, fricke_value, trace_coordinates
 from teichkit.flags import interior_vertices
 from teichkit.laurent import LaurentRing
 from teichkit.linalg import adjugate, is_scalar_matrix, mat_mul, mat_prod, mat_scale, proj_eq
@@ -770,3 +770,66 @@ class TestFatgraphDictionary:
         for a, b in (("loop2", "loop3"), ("loop3", "loop1"), ("loop1", "loop2")):
             m = sl2_lift(mat_mul(ours[a], ours[b]))
             assert abs(m[0][0] + m[1][1]) == abs((fat[a] * fat[b]).trace())
+
+
+# The same surface read through square roots: with square side values, each
+# fat-graph edge weighs the square root of its gluing's amalgamated product,
+# the stems s1, s2, s3 for the gluings c-l, c-d, c-r and the loop edges p1,
+# p2, p3 for the self-gluings of l, d, r.  The fat-graph loops loop1..loop4
+# are then the FG loops loop3, loop2, loop1, loop4.
+SQRT_EDGES = {
+    ("c", "l"): "s1", ("c", "d"): "s2", ("c", "r"): "s3",
+    ("l", "l"): "p1", ("d", "d"): "p2", ("r", "r"): "p3",
+}
+FAT_LOOPS = ("loop1", "loop2", "loop3", "loop4")
+FG_LOOPS = ("loop3", "loop2", "loop1", "loop4")
+
+
+def _trace(m):
+    return m[0][0] + m[1][1]
+
+
+class TestSquareRootDictionary:
+    def check(self, roots):
+        """roots[t, v] is the root of triangle t's side value at v."""
+        asg = {
+            t: FGAssignment(2, {v: roots[t, v] ** 2 for v in side_vertices(2)})
+            for t in "lrdc"
+        }
+        surf, words = four_holed_sphere_fg(2, asg)
+        weights = {}
+        for (a, b), product in amalgamated_products(surf).items():
+            weights[SQRT_EDGES[a[0], b[0]]] = w = roots[a] * roots[b]
+            assert w * w == product
+        graph, loops = four_holed_sphere(
+            [weights[e] for e in ("s1", "s2", "s3")], [weights[e] for e in ("p1", "p2", "p3")]
+        )
+        ours = [path_matrix(surf, words[k]) for k in FG_LOOPS]
+        for m, h in zip(ours, (graph.holonomy(loops[k]) for k in FAT_LOOPS)):
+            (a, b), (c, d) = m
+            # tr^2 / det agree, cross-multiplied so that nothing divides
+            assert (a + d) ** 2 * h.det() == h.trace() ** 2 * (a * d - b * c)
+        # lifted to SL2, the FG loops have the fat graph's trace coordinates
+        # with each boundary trace negated, and so satisfy the Fricke relation
+        m1, m2, m3, m4 = (sl2_lift(m) for m in ours)
+        coords = (
+            _trace(mat_mul(m2, m3)), _trace(mat_mul(m3, m1)), _trace(mat_mul(m1, m2)),
+            _trace(m1), _trace(m2), _trace(m3), _trace(m4),
+        )
+        x1, x2, x3, *gs = trace_coordinates(graph, loops)
+        assert coords == (x1, x2, x3, *(-g for g in gs))
+        assert fricke_value(coords) == 4
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rational_squares(self, seed):
+        rng = random.Random(130 + seed)
+        self.check({
+            (t, v): Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            for t in "lrdc" for v in side_vertices(2)
+        })
+
+    def test_squared_laurent_generators(self):
+        # one evaluation over twelve free generators covers every side value
+        keys = [(t, v) for t in "lrdc" for v in side_vertices(2)]
+        ring = LaurentRing(*(f"{t}{''.join(map(str, v))}" for t, v in keys))
+        self.check(dict(zip(keys, ring.gens())))

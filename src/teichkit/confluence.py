@@ -130,12 +130,23 @@ class LimitCoords(NamedTuple):
     g4: object
 
 
+_LIMIT = None
+
+
 def limit_coordinates():
-    """Finite parts of the chewed trace coordinates, rescaled per RESCALINGS."""
-    coords = symbolic_coordinates()
-    return LimitCoords(
-        *(leading_limit(chew_substitute(c), r) for c, r in zip(coords, RESCALINGS))
-    )
+    """Finite parts of the chewed trace coordinates, rescaled per RESCALINGS.
+
+    Built once per process, on the first call, and shared: every later call
+    returns that same LimitCoords.  Sharing is safe because a LaurentPoly is
+    hashable and has no mutating methods.
+    """
+    global _LIMIT
+    if _LIMIT is None:
+        coords = symbolic_coordinates()
+        _LIMIT = LimitCoords(
+            *(leading_limit(chew_substitute(c), r) for c, r in zip(coords, RESCALINGS))
+        )
+    return _LIMIT
 
 
 def limiting_relation_value(c):

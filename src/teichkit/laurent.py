@@ -7,6 +7,13 @@ step), so products and sums of integral coefficients never build a
 Fraction.  Values leaving the ring are Fractions: `constant_value`,
 `monomial_parts` and `eval` over rationals return them.
 
+`eval` runs over integer numerators: each int or Fraction value enters as
+its numerator and denominator, every term is shifted onto one common
+denominator by integer powers, and the sum is divided once.  Over such
+values the result is one Fraction (the zero polynomial gives the int 0);
+over floats it is a float that may differ from the term-by-term sum only
+in rounding.
+
 This is deliberately a small ring: addition, multiplication, integer
 powers (a monomial's from its exponents, c*x^e to c^k*x^(k*e), in one
 step), division by monomials, monomial substitution, and regrouping by the
@@ -18,6 +25,7 @@ the ring small keeps exactness easy to audit.
 """
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 from .fatgraph import _scalar
@@ -25,6 +33,14 @@ from .fatgraph import _scalar
 
 class LaurentError(ArithmeticError):
     pass
+
+
+def _parts(v):
+    """(p, q) with v == p / q: integers when v is exact, else (v, 1); a bool is refused."""
+    v = _scalar(v)
+    if isinstance(v, Fraction):
+        return v.numerator, v.denominator
+    return v, 1
 
 
 def _coeff(x):
@@ -212,18 +228,42 @@ class LaurentPoly:
     def eval(self, values):
         """Numeric evaluation; values maps every needed name to a number.
 
-        Over rational values, int values included, the result is an exact
-        Fraction (the zero polynomial gives the int 0), whatever form the
-        coefficients are stored in.
+        Only names with a nonzero exponent in some term are needed and looked
+        up: a missing one is a KeyError, a bool a TypeError.  A value v
+        enters as (p, q) with v = p/q: its numerator and denominator when it
+        is an int or a Fraction, (v, 1) otherwise.  With x^hi and x^-lo the
+        highest and lowest powers of a generator x (hi, lo >= 0), a term
+        c*x^k adds c*p^(k+lo)*q^(hi-k), coefficient denominators cleared, to
+        one numerator N, and N is divided once by D = prod q^hi*p^lo times
+        that common denominator.  Over int and Fraction values N and D are
+        ints and the result is Fraction(N, D).  An inexact value needs no
+        integer powers, so it takes lo = 0 and its negative powers directly:
+        a float stays within the range the term-by-term sum has, and the
+        result N / D may differ from that sum only in rounding.  The zero
+        polynomial gives the int 0, and a zero value under a negative
+        exponent is a ZeroDivisionError: it makes D zero, or it is a float
+        raised to a negative power.
         """
-        out = 0
+        if not self.terms:
+            return 0
+        scale = lcm(*(c.denominator for c in self.terms.values()))
+        needed, den = [], scale
+        for i, ks in enumerate(zip(*self.terms)):
+            lo, hi = -min(0, *ks), max(0, *ks)
+            if lo or hi:
+                p, q = _parts(values[self.ring.names[i]])
+                if type(p) is not int:
+                    lo = 0  # an inexact value takes negative powers itself
+                needed.append((i, p, q, lo, hi))
+                den = den * q ** hi * p ** lo
+        num = 0
         for e, c in self.terms.items():
-            term = c
-            for name, k in zip(self.ring.names, e):
-                if k:
-                    term = term * _scalar(values[name]) ** k
-            out = out + term
-        return Fraction(out) if type(out) is int and self.terms else out
+            term = c.numerator * (scale // c.denominator)
+            for i, p, q, lo, hi in needed:
+                k = e[i]
+                term = term * p ** (k + lo) * q ** (hi - k)
+            num = num + term
+        return Fraction(num, den) if type(den) is int else num / den
 
     def split_by(self, name):
         """Group terms by the exponent of one generator.

@@ -86,7 +86,9 @@ def _coord(v, allow_infinity=False):
 class SceneElement:
     """One drawable item; geometry is a kind-specific tuple.
 
-    Build through the constructor functions below, which validate.
+    Build through the constructor functions below, which validate the
+    coordinates.  The element itself refuses a kind outside KINDS and a
+    geometry that is not a tuple of one entry per JSON field of its kind.
     """
 
     kind: str
@@ -95,6 +97,14 @@ class SceneElement:
     label: str = ""
 
     def __post_init__(self):
+        try:
+            fields = _KINDS[self.kind][2]
+        except (KeyError, TypeError):
+            raise BadGeometry(f"unknown element kind {self.kind!r}") from None
+        if fields is not None and not (
+            isinstance(self.geometry, tuple) and len(self.geometry) == len(fields)
+        ):
+            raise BadGeometry(f"{self.kind} geometry must be a tuple ({', '.join(fields)})")
         bad = _NOT_XML_CHAR.search(self.color + self.label)
         if bad:
             raise BadGeometry(f"SVG cannot carry the character {bad.group()!r}")

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from teichkit import confluence
 from teichkit.confluence import (
     CHEW_RING,
     RESCALINGS,
@@ -70,6 +75,23 @@ def test_limit_x3_is_the_undegenerated_coordinate():
     ser = chew_substitute(coords[2])
     assert sorted(ser.coeffs) == [0]
     assert limit_coordinates().x3 == ser.coefficient(0)
+
+
+def test_kept_limit_is_the_derivation():
+    first, second = limit_coordinates(), limit_coordinates()
+    derived = LimitCoords(
+        *(leading_limit(chew_substitute(c), r) for c, r in zip(symbolic_coordinates(), RESCALINGS))
+    )
+    assert first is second
+    assert first == derived and second == derived
+
+
+def test_the_limit_is_not_built_at_import():
+    src = Path(confluence.__file__).resolve().parents[1]
+    code = "import teichkit.cli, teichkit.confluence as c; print(c._LIMIT is None)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "True"
 
 
 def test_limiting_relation_vanishes_symbolically():

@@ -154,6 +154,58 @@ def test_boundary_values_are_fractions(c, e):
         assert type(coeff) is Fraction and (coeff, exps) == (c, e)
 
 
+# Floats away from 0, so that terms with negative exponents stay moderate.
+FLOATS = st.floats(-5, 5).filter(lambda v: abs(v) >= 0.05)
+
+
+def defining_terms(p, values):
+    """The terms c * prod(v^k) of p at values, in Fraction arithmetic; a
+    float value enters as the rational it is."""
+    terms = []
+    for e, c in p.terms.items():
+        term = Fraction(c)
+        for name, k in zip(p.ring.names, e):
+            if k:
+                term *= Fraction(values[name]) ** k
+        terms.append(term)
+    return terms
+
+
+@settings(max_examples=300, derandomize=True)
+@given(polys(), st.fixed_dictionaries({name: VALUES | FLOATS for name in R.names}))
+def test_eval_is_the_defining_sum(p, values):
+    got = p.eval(values)
+    terms = defining_terms(p, values)
+    needed = {name for e in p.terms for name, k in zip(R.names, e) if k}
+    if any(type(values[name]) is float for name in needed):
+        assert type(got) is float
+        assert abs(Fraction(got) - sum(terms)) <= Fraction(1e-12) * max(map(abs, terms))
+    else:
+        assert got == sum(terms)
+        assert type(got) is (int if p.is_zero() else Fraction)
+
+
+def test_eval_edge_cases():
+    assert R.zero.eval({}) == 0 and type(R.zero.eval({})) is int
+    x, y = R.gen("x"), R.gen("y")
+    assert (x ** 2 + y).eval({"x": 0, "y": 3}) == 3
+    assert type(R.const(2).eval({})) is Fraction
+    p = x ** -1 + y
+    for zero in (0, Fraction(0), 0.0):
+        values = {"x": zero, "y": 1}
+        with pytest.raises(ZeroDivisionError):
+            p.eval(values)
+        with pytest.raises(ZeroDivisionError):
+            defining_terms(p, values)
+    # a float keeps the range of the term-by-term sum: (1e100)^4 would overflow
+    assert (x ** 2 + x ** -2).eval({"x": 1e100}) == pytest.approx(1e200)
+    assert (x ** 2 + x ** -2).eval({"x": 1e-100}) == pytest.approx(1e200)
+    with pytest.raises(KeyError):
+        p.eval({"x": 1})
+    with pytest.raises(TypeError):
+        p.eval({"x": True, "y": 1})
+
+
 def test_eval_at_int_values_is_exact():
     assert R.gen("x").inverse().eval({"x": 3}) == Fraction(1, 3)
     assert type((R.gen("x") ** -2 * R.gen("y")).eval({"x": 2, "y": 1})) is Fraction

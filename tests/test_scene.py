@@ -154,6 +154,24 @@ def test_scene_rejects_non_elements():
     assert s.elements == () and len(s2.elements) == 1
 
 
+@pytest.mark.parametrize(
+    "kind, geometry",
+    [
+        ("sphere", ((0, 1),)),
+        (["point"], (F(0), F(1))),
+        ("point", (1, 2, 3, 4)),
+        ("point", (F(1),)),
+        ("point", [F(0), F(1)]),
+        ("circle", (F(0), F(2))),
+        ("geodesic", ()),
+    ],
+    ids=["unknown-kind", "unhashable-kind", "long", "short", "list", "circle-short", "empty"],
+)
+def test_element_refuses_unknown_kinds_and_misshapen_geometry(kind, geometry):
+    with pytest.raises(BadGeometry):
+        SceneElement(kind, geometry)
+
+
 # -- rendering ---------------------------------------------------------------
 
 

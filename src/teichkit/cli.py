@@ -21,6 +21,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from . import confluence, fatgraph, surface
 from .encode import SCHEMA, scalar_from_json, scalar_to_json
@@ -112,153 +113,133 @@ def _rand_assignment(rng, n):
     return FGAssignment(n, {k: _rand_q(rng) for k in keys})
 
 
-def _suite_fricke(rng, trials, n):
-    out = []
-    for i in range(trials):
-        ws = [_rand_q(rng) for _ in range(6)]
-        g, loops = fatgraph.four_holed_sphere(ws[:3], ws[3:])
-        ok = fatgraph.fricke_value(fatgraph.trace_coordinates(g, loops)) == 4
-        out.append((f"fricke trial {i + 1:02d}: relation == 4", ok))
-    return out
+def _check_fricke(rng, n, shared):
+    ws = [_rand_q(rng) for _ in range(6)]
+    g, loops = fatgraph.four_holed_sphere(ws[:3], ws[3:])
+    return fatgraph.fricke_value(fatgraph.trace_coordinates(g, loops)) == 4
 
 
-def _suite_frickepv(rng, trials, n):
+def _check_frickepv(rng, n, shared):
     lim = confluence.limit_coordinates()
-    names = ("ls1", "ls2", "ls3", "lp1", "lp2", "kap1", "kap2")
-    out = []
-    for i in range(trials):
-        vals = {k: _rand_q(rng) for k in names}
-        nums = confluence.LimitCoords(*(p.eval(vals) for p in lim))
-        ok = confluence.limiting_relation_value(nums) == 0
-        t = _nontrivial(rng)
-        moved = dict(vals, kap1=vals["kap1"] * t, kap2=vals["kap2"] / t)
-        ok = ok and all(p.eval(vals) == p.eval(moved) for p in lim)
-        out.append((f"frickepv trial {i + 1:02d}: relation == 0, rebalancing inert", ok))
-    return out
+    vals = {k: _rand_q(rng) for k in ("ls1", "ls2", "ls3", "lp1", "lp2", "kap1", "kap2")}
+    nums = confluence.LimitCoords(*(p.eval(vals) for p in lim))
+    ok = confluence.limiting_relation_value(nums) == 0
+    t = _nontrivial(rng)
+    moved = dict(vals, kap1=vals["kap1"] * t, kap2=vals["kap2"] / t)
+    return ok and all(p.eval(vals) == p.eval(moved) for p in lim)
 
 
-def _suite_transport(rng, trials, n):
-    out = []
-    for i in range(trials):
-        z = _rand_assignment(rng, n)
-        p = _evaluate(n, [(1, z, False), (2, z, False), (3, z, False)])
-        s = is_scalar_matrix(p)
-        out.append(
-            (f"transport trial {i + 1:02d}: T1 T2 T3 scalar at n={n}", s is not None and s != 0)
-        )
-    return out
+def _check_transport(rng, n, shared):
+    z = _rand_assignment(rng, n)
+    s = is_scalar_matrix(_evaluate(n, [(1, z, False), (2, z, False), (3, z, False)]))
+    return s is not None and s != 0
 
 
-def _two_triangle(rng, n):
+def _check_amalgamation(rng, n, shared):
+    # every draw is made whatever the verdict so far: `ok and` skips work only
     L, R = _rand_assignment(rng, n), _rand_assignment(rng, n)
     surf = surface.TriangulatedSurface({"L": L, "R": R}, [(("L", "12"), ("R", "12"))])
     word = surface.TrianglePathWord([surface.t_token("L", 1), "S", surface.t_token("R", 2)])
-    return surf, word
+    m0 = surface.path_matrix(surf, word)
+    ok = True
+    for k in range(1, n):
+        t = _nontrivial(rng)
+        va = surface.side_vertex(n, "12", k)
+        vb = surface.side_vertex(n, "12", n - k)
+        moved = surf.with_value("L", va, surf.triangles["L"][va] * t)
+        moved = moved.with_value("R", vb, surf.triangles["R"][vb] / t)
+        ok = ok and surface.path_matrix(moved, word) == m0
+    # the word enters through L's 31 side, so that pinning must matter
+    v = surface.side_vertex(n, "31", 1)
+    pinched = surf.with_value("L", v, surf.triangles["L"][v] * 2)
+    ok = ok and not proj_eq(surface.path_matrix(pinched, word), m0)
+    cyl, words = surface.cylinder_two_cusps(
+        2, {"t": _rand_assignment(rng, 2), "b": _rand_assignment(rng, 2)}
+    )
+    base = {w: surface.path_matrix(cyl, wd) for w, wd in words.items()}
+    for (t1, v1), (t2, v2) in surface.amalgamation_classes(cyl)["amalgamated"]:
+        t = _nontrivial(rng)
+        moved = cyl.with_value(t1, v1, cyl.triangles[t1][v1] * t)
+        moved = moved.with_value(t2, v2, cyl.triangles[t2][v2] / t)
+        ok = ok and all(surface.path_matrix(moved, wd) == base[w] for w, wd in words.items())
+    return ok
 
 
-def _suite_amalgamation(rng, trials, n):
-    out = []
-    for i in range(trials):
-        surf, word = _two_triangle(rng, n)
-        m0 = surface.path_matrix(surf, word)
-        ok = True
-        for k in range(1, n):
-            t = _nontrivial(rng)
-            va = surface.side_vertex(n, "12", k)
-            vb = surface.side_vertex(n, "12", n - k)
-            moved = surf.with_value("L", va, surf.triangles["L"][va] * t)
-            moved = moved.with_value("R", vb, surf.triangles["R"][vb] / t)
-            ok = ok and surface.path_matrix(moved, word) == m0
-        # the word enters through L's 31 side, so that pinning must matter
-        v = surface.side_vertex(n, "31", 1)
-        pinched = surf.with_value("L", v, surf.triangles["L"][v] * 2)
-        ok = ok and not proj_eq(surface.path_matrix(pinched, word), m0)
-        cyl, words = surface.cylinder_two_cusps(
-            2, {"t": _rand_assignment(rng, 2), "b": _rand_assignment(rng, 2)}
-        )
-        base = {w: surface.path_matrix(cyl, wd) for w, wd in words.items()}
-        for (t1, v1), (t2, v2) in surface.amalgamation_classes(cyl)["amalgamated"]:
-            t = _nontrivial(rng)
-            moved = cyl.with_value(t1, v1, cyl.triangles[t1][v1] * t)
-            moved = moved.with_value(t2, v2, cyl.triangles[t2][v2] / t)
-            ok = ok and all(
-                surface.path_matrix(moved, wd) == base[w] for w, wd in words.items()
-            )
-        out.append(
-            (f"amalgamation trial {i + 1:02d}: class rescales inert, pinning moves", ok)
-        )
-    return out
-
-
-def _suite_skein(rng, trials, n):
+def _setup_skein(rng, n):
     g, _ = pair_of_pants(_rand_q(rng), _rand_q(rng), _rand_q(rng))
+    return g, ()
+
+
+def _check_skein(rng, n, g):
     alphabet = ["R", "L", ("E", "s1"), ("E", "s2"), ("E", "s3"), ("Einv", "s1")]
-    out = []
-    for i in range(trials):
-        wa = PathWord(tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 7))))
-        wb = PathWord(tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 7))))
-        a, b = g.holonomy(wa), g.holonomy(wb)
-        binv = g.holonomy(wb.inverse())
-        ok = (a * b).trace() + (a * binv).trace() == a.trace() * b.trace()
-        out.append((f"skein trial {i + 1:02d}: Tr(AB) + Tr(AB^-1) == Tr(A) Tr(B)", ok))
-    return out
+    wa = PathWord(tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 7))))
+    wb = PathWord(tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 7))))
+    a, b = g.holonomy(wa), g.holonomy(wb)
+    return (a * b).trace() + (a * g.holonomy(wb.inverse())).trace() == a.trace() * b.trace()
 
 
-def _suite_lambda(rng, trials, n):
-    ring = LaurentRing("s1", "s2", "s3", "q1", "q2", "c1", "c2")
-    s1, s2, s3, q1, q2, c1, c2 = ring.gens()
-    g, arcs, _ = confluence.cusped_three_holed((s1, s2, s3), (q1, q2), (c1, c2))
-    lam = confluence.lambda_lengths(g, arcs)
-    expected = {
-        "a": c2 ** 2 * q1 ** 2 * q2 * s1 ** 4 * s2 ** 2 * s3 ** 2,
-        "b": c2 ** 2 * q1 * s1 ** 2 * s3 ** 2,
-        "c": c2 ** 2 * q1 * q2 * s1 ** 2 * s2 ** 2 * s3 ** 2,
-        "d": c1 * c2 * q1 * q2 * s1 ** 2 * s2 ** 2 * s3 ** 2,
-        "e": c1 * c2,
-    }
-    out = [("lambda monomial table matches", lam == expected)]
-    table = dict(lam)
-    table["q1"], table["q2"] = q1, q2
-    base = Fraction(2)
-    for i in range(trials):
-        exps = {name: Fraction(rng.randint(-3, 3)) for name in ring.names}
-        values = {}
-        for name, mono in table.items():
-            _, es = mono.monomial_parts()
-            t = sum(Fraction(e) * exps[v] for e, v in zip(es, ring.names))
-            values[name] = base ** int(t)
-        got = confluence.invert_monomials(table, values, base)
-        out.append((f"lambda trial {i + 1:02d}: invert_monomials round trip", got == exps))
-    return out
+_LAMBDA = None
+
+
+def _setup_lambda(rng, n):
+    """The symbolic lambda-length table and its verdict, built once per process."""
+    global _LAMBDA
+    if _LAMBDA is None:
+        ring = LaurentRing("s1", "s2", "s3", "q1", "q2", "c1", "c2")
+        s1, s2, s3, q1, q2, c1, c2 = ring.gens()
+        g, arcs, _ = confluence.cusped_three_holed((s1, s2, s3), (q1, q2), (c1, c2))
+        lam = confluence.lambda_lengths(g, arcs)
+        expected = {
+            "a": c2 ** 2 * q1 ** 2 * q2 * s1 ** 4 * s2 ** 2 * s3 ** 2,
+            "b": c2 ** 2 * q1 * s1 ** 2 * s3 ** 2,
+            "c": c2 ** 2 * q1 * q2 * s1 ** 2 * s2 ** 2 * s3 ** 2,
+            "d": c1 * c2 * q1 * q2 * s1 ** 2 * s2 ** 2 * s3 ** 2,
+            "e": c1 * c2,
+        }
+        table = dict(lam, q1=q1, q2=q2)
+        rows = {name: mono.monomial_parts()[1] for name, mono in table.items()}
+        _LAMBDA = (ring.names, table, rows), (("lambda monomial table matches", lam == expected),)
+    return _LAMBDA
+
+
+def _check_lambda(rng, n, shared):
+    names, table, rows = shared
+    exps = [rng.randint(-3, 3) for _ in names]
+    values = {k: Fraction(2) ** sum(e * x for e, x in zip(es, exps)) for k, es in rows.items()}
+    return confluence.invert_monomials(table, values, Fraction(2)) == dict(zip(names, exps))
+
+
+class _Suite(NamedTuple):
+    trials: int  # the default count
+    text: str  # ends each trial line; "{n}" is the rank
+    check: object  # (rng, n, shared) -> verdict of one trial
+    setup: object = None  # (rng, n) -> (shared, (line, verdict) pairs to report first)
 
 
 SUITES = {
-    "fricke": _suite_fricke,
-    "frickepv": _suite_frickepv,
-    "transport": _suite_transport,
-    "amalgamation": _suite_amalgamation,
-    "skein": _suite_skein,
-    "lambda": _suite_lambda,
-}
-
-_DEFAULT_TRIALS = {
-    "fricke": 20,
-    "frickepv": 10,
-    "transport": 10,
-    "amalgamation": 10,
-    "skein": 20,
-    "lambda": 10,
+    "fricke": _Suite(20, "relation == 4", _check_fricke),
+    "frickepv": _Suite(10, "relation == 0, rebalancing inert", _check_frickepv),
+    "transport": _Suite(10, "T1 T2 T3 scalar at n={n}", _check_transport),
+    "amalgamation": _Suite(10, "class rescales inert, pinning moves", _check_amalgamation),
+    "skein": _Suite(20, "Tr(AB) + Tr(AB^-1) == Tr(A) Tr(B)", _check_skein, _setup_skein),
+    "lambda": _Suite(10, "invert_monomials round trip", _check_lambda, _setup_lambda),
 }
 
 
 def _cmd_verify(args):
-    trials = args.trials if args.trials is not None else _DEFAULT_TRIALS[args.suite]
+    suite = SUITES[args.suite]
+    trials = args.trials if args.trials is not None else suite.trials
     if not 1 <= trials <= MAX_TRIALS:
         raise SchemaError(f"need 1 <= trials <= {MAX_TRIALS}")
     if not 2 <= args.n <= MAX_RANK:
         raise SchemaError(f"need 2 <= n <= {MAX_RANK}")
     rng = random.Random(args.seed)
-    results = SUITES[args.suite](rng, trials, args.n)
+    shared, results = suite.setup(rng, args.n) if suite.setup else (None, ())
+    text = suite.text.format(n=args.n)
+    results = [*results] + [
+        (f"{args.suite} trial {i + 1:02d}: {text}", suite.check(rng, args.n, shared))
+        for i in range(trials)
+    ]
     npass = sum(1 for _, ok in results if ok)
     for name, ok in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}")
@@ -282,8 +263,12 @@ def build_parser():
     v = sub.add_parser("verify", help="run a seeded verification suite")
     v.add_argument("suite", choices=sorted(SUITES))
     v.add_argument("--seed", type=int, default=0)
+    defaults = ", ".join(f"{name} {suite.trials}" for name, suite in SUITES.items())
     v.add_argument(
-        "--trials", type=int, default=None, help=f"number of trials, at most {MAX_TRIALS}"
+        "--trials",
+        type=int,
+        default=None,
+        help=f"number of trials, at most {MAX_TRIALS}; default {defaults}",
     )
     v.add_argument(
         "--n",

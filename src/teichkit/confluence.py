@@ -10,6 +10,7 @@ Everything here is exact: eps is a formal generator, limits are coefficient
 extraction, and the one substitution used is monomial.
 """
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -256,27 +257,39 @@ def lambda_lengths(graph, arcs):
 # -- exact monomial inversion -------------------------------------------------
 
 
+def _short(x):
+    """x for an error message: only its size when it runs past 128 bits."""
+    if isinstance(x, (int, Fraction)):
+        bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+        if bits > 128:
+            return f"a {bits}-bit rational"
+    return str(x)
+
+
 def _exponent_of(value, base):
-    """Integer t with value == base^t, via exact division."""
+    """Integer t with value == base^t, read off bit lengths and confirmed exactly."""
     if value <= 0 or base <= 0 or base == 1:
-        raise NotAPowerOfBase(f"need positive value and base != 1, got {value}, {base}")
-    t = 0
-    v = Fraction(value)
-    b = Fraction(base)
+        raise NotAPowerOfBase(
+            f"need positive value and base != 1, got {_short(value)}, {_short(base)}"
+        )
+    v, b, sign = Fraction(value), Fraction(base), 1
     if b < 1:
-        b, v = 1 / b, v  # normalize to base > 1
-        flip = -1
-    else:
-        flip = 1
-    while v > 1:
-        v /= b
+        b, sign = 1 / b, -sign
+    if v < 1:
+        v, sign = 1 / v, -sign
+    # Now v >= 1 and b > 1, both in lowest terms, so v == b^t needs t >= 0 and
+    # numerator(v) == numerator(b)^t.  With `bits` the bit length of the first
+    # and L = log2 of the second (L >= 1), t lies in [(bits - 1) / L, bits / L),
+    # a window of width at most 1: start just below it and step up.
+    p, bp = v.numerator, b.numerator
+    t = max(int(p.bit_length() / math.log2(bp)) - 2, 0)
+    power = bp ** t
+    while power < p:
+        power *= bp
         t += 1
-    while v < 1:
-        v *= b
-        t -= 1
-    if v != 1:
-        raise NotAPowerOfBase(f"{value} is not an integer power of {base}")
-    return flip * t
+    if power != p or b.denominator ** t != v.denominator:
+        raise NotAPowerOfBase(f"{_short(value)} is not an integer power of {_short(base)}")
+    return sign * t
 
 
 def invert_monomials(monomials, values, base):

@@ -1,9 +1,10 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from teichkit import cli
+from teichkit import cli, confluence
 from teichkit.fatgraph import pair_of_pants
 from teichkit.snakes import MAX_RANK
 
@@ -116,6 +117,26 @@ def test_verify_suites_pass(suite, capsys):
     assert out.strip().splitlines()[-1].startswith(f"{suite}:")
 
 
+def test_verify_output_is_pinned(capsys):
+    # one digest over stdout and exit code of every suite at seeds 0-1 with
+    # default trials, and of transport and amalgamation at n = 2..5
+    runs = [
+        [suite, "--seed", str(seed)]
+        for suite in ("amalgamation", "fricke", "frickepv", "lambda", "skein", "transport")
+        for seed in (0, 1)
+    ]
+    runs += [
+        [suite, "--n", str(n), "--trials", "3"]
+        for suite in ("transport", "amalgamation")
+        for n in range(2, 6)
+    ]
+    digest = hashlib.sha256()
+    for argv in runs:
+        code = cli.main(["verify", *argv])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == "614a89972e95020c6eb3bce6824b96c682fa4a9c8beae9a342a78f26d2e15262"
+
+
 def test_verify_is_deterministic_under_seed(capsys):
     assert cli.main(["verify", "fricke", "--trials", "4", "--seed", "11"]) == 0
     first = capsys.readouterr().out
@@ -136,10 +157,29 @@ def test_verify_large_rank(suite, n, capsys):
 
 
 def test_verify_fails_nonzero(capsys, monkeypatch):
-    monkeypatch.setitem(cli.SUITES, "fricke", lambda rng, trials, n: [("stub", False)])
+    failing = cli.SUITES["fricke"]._replace(check=lambda rng, n, shared: False)
+    monkeypatch.setitem(cli.SUITES, "fricke", failing)
     assert cli.main(["verify", "fricke", "--trials", "1"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL stub" in out and "0/1 passed" in out
+    assert "FAIL fricke trial 01: relation == 4" in out and "fricke: 0/1 passed" in out
+
+
+def test_verify_lambda_builds_its_table_once(capsys, monkeypatch):
+    calls = []
+
+    def counting_cusped_three_holed(*args):
+        calls.append(1)
+        return real(*args)
+
+    real = confluence.cusped_three_holed
+    monkeypatch.setattr(confluence, "cusped_three_holed", counting_cusped_three_holed)
+    monkeypatch.setattr(cli, "_LAMBDA", None)
+    assert cli.main(["verify", "lambda", "--trials", "3"]) == 0
+    first = capsys.readouterr().out
+    assert cli.main(["verify", "lambda", "--trials", "3"]) == 0
+    assert capsys.readouterr().out == first
+    assert first.startswith("PASS lambda monomial table matches\n")
+    assert len(calls) == 1
 
 
 def test_main_builds_one_parser(pants_files, capsys, monkeypatch):

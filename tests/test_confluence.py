@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -238,3 +239,55 @@ def test_invert_monomials_detects_inconsistency_and_bad_values():
         invert_monomials(table, values, F(2))
     with pytest.raises(InconsistentValues):
         invert_monomials({"a": s1}, {"b": F(1)}, F(2))
+
+
+@pytest.mark.parametrize(
+    "value, base, t",
+    [
+        (F(8), F(2), 3),
+        (F(1, 8), F(2), -3),
+        (F(1), F(7, 3), 0),
+        (F(8), F(1, 2), -3),
+        (F(1, 8), F(1, 2), 3),
+        (F(4, 9), F(2, 3), 2),
+        (F(9, 4), F(2, 3), -2),
+        (F(3) ** 30000, F(3), 30000),
+        (F(1, 3**30000), F(1, 3), 30000),
+        (F(10**100 + 1, 10**100) ** 7, F(10**100 + 1, 10**100), 7),
+    ],
+)
+def test_exponent_of_reads_the_power(value, base, t):
+    assert confluence._exponent_of(value, base) == t
+
+
+def test_exponent_of_agrees_with_repeated_division():
+    rng = random.Random(5)
+    for _ in range(2000):
+        base = F(rng.randint(1, 30), rng.randint(1, 30))
+        if base == 1:
+            continue
+        t = rng.randint(-25, 25)
+        assert confluence._exponent_of(base**t, base) == t
+        off = F(rng.randint(2, 9), rng.randint(2, 9))
+        if any(off == base**k for k in range(-4, 5)):
+            continue  # off is itself a power of base
+        with pytest.raises(NotAPowerOfBase):
+            confluence._exponent_of(base**t * off, base)
+
+
+def test_exponent_of_does_a_bounded_number_of_steps():
+    # one division per power took seconds here; the bit-length estimate
+    # leaves a few multiplications, milliseconds even at 95,000 bits
+    start = time.perf_counter()
+    assert confluence._exponent_of(F(1, 3**60000), F(3)) == -60000
+    assert time.perf_counter() - start < 0.25
+
+@pytest.mark.parametrize(
+    "value",
+    [F(3) ** 20000 + 1, -(3**20000), F(1, 3**20000) + F(1, 7)],
+    ids=["above", "negative", "below"],
+)
+def test_exponent_of_refuses_a_huge_non_power_briefly(value):
+    with pytest.raises(NotAPowerOfBase) as info:
+        confluence._exponent_of(value, F(3))
+    assert len(str(info.value)) < 100 and "-bit rational" in str(info.value)

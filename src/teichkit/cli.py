@@ -135,34 +135,33 @@ def _check_transport(rng, n, shared):
     return s is not None and s != 0
 
 
+def _rescalings_inert(rng, surf, words):
+    """Rescale each amalgamated pair of `surf` by t and 1/t, one draw per pair.
+    Returns whether every word's matrix stayed exactly equal, and the unmoved ones."""
+    base = {w: surface.path_matrix(surf, wd) for w, wd in words.items()}
+    ok = True
+    for (t1, v1), (t2, v2) in surface.amalgamation_classes(surf)["amalgamated"]:
+        t = _nontrivial(rng)
+        moved = surf.with_value(t1, v1, surf.triangles[t1][v1] * t)
+        moved = moved.with_value(t2, v2, surf.triangles[t2][v2] / t)
+        ok = ok and all(surface.path_matrix(moved, wd) == base[w] for w, wd in words.items())
+    return ok, base
+
+
 def _check_amalgamation(rng, n, shared):
     # every draw is made whatever the verdict so far: `ok and` skips work only
     L, R = _rand_assignment(rng, n), _rand_assignment(rng, n)
     surf = surface.TriangulatedSurface({"L": L, "R": R}, [(("L", "12"), ("R", "12"))])
     word = surface.TrianglePathWord([surface.t_token("L", 1), "S", surface.t_token("R", 2)])
-    m0 = surface.path_matrix(surf, word)
-    ok = True
-    for k in range(1, n):
-        t = _nontrivial(rng)
-        va = surface.side_vertex(n, "12", k)
-        vb = surface.side_vertex(n, "12", n - k)
-        moved = surf.with_value("L", va, surf.triangles["L"][va] * t)
-        moved = moved.with_value("R", vb, surf.triangles["R"][vb] / t)
-        ok = ok and surface.path_matrix(moved, word) == m0
+    ok, base = _rescalings_inert(rng, surf, {"arc": word})
     # the word enters through L's 31 side, so that pinning must matter
     v = surface.side_vertex(n, "31", 1)
     pinched = surf.with_value("L", v, surf.triangles["L"][v] * 2)
-    ok = ok and not proj_eq(surface.path_matrix(pinched, word), m0)
+    ok = ok and not proj_eq(surface.path_matrix(pinched, word), base["arc"])
     cyl, words = surface.cylinder_two_cusps(
         2, {"t": _rand_assignment(rng, 2), "b": _rand_assignment(rng, 2)}
     )
-    base = {w: surface.path_matrix(cyl, wd) for w, wd in words.items()}
-    for (t1, v1), (t2, v2) in surface.amalgamation_classes(cyl)["amalgamated"]:
-        t = _nontrivial(rng)
-        moved = cyl.with_value(t1, v1, cyl.triangles[t1][v1] * t)
-        moved = moved.with_value(t2, v2, cyl.triangles[t2][v2] / t)
-        ok = ok and all(surface.path_matrix(moved, wd) == base[w] for w, wd in words.items())
-    return ok
+    return _rescalings_inert(rng, cyl, words)[0] and ok
 
 
 def _setup_skein(rng, n):

@@ -163,7 +163,7 @@ def interior_vertices(n):
     return [(a, b, c) for (a, b, c) in _triples(n) if a >= 1 and b >= 1 and c >= 1]
 
 
-def _splitting(f1, f2, rows=()):
+def _splitting(f1, f2, rows):
     """Coordinates adapted to a transverse pair, in one elimination pass.
 
     Column operations on the stacked rows of f1, f2 and ``rows`` change the

@@ -44,8 +44,8 @@ def _parts(v):
 
 
 def _coeff(x):
-    """The stored form of a rational: int when integral, else Fraction."""
-    if isinstance(x, int):
+    """The stored form of a rational: int when integral, else Fraction; a bool is refused."""
+    if isinstance(x, int) and type(x) is not bool:
         return int(x)
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
@@ -81,7 +81,9 @@ class LaurentRing:
     def monomial(self, coeff, /, **exps):
         e = [0] * len(self.names)
         for name, k in exps.items():
-            e[self.index[name]] = int(k)
+            if type(k) is not int:
+                raise LaurentError(f"exponent of {name} must be an int, got {k!r}")
+            e[self.index[name]] = k
         return LaurentPoly(self, {tuple(e): _coeff(coeff)})
 
     def __repr__(self):
@@ -166,8 +168,8 @@ class LaurentPoly:
         return LaurentPoly(self.ring, {tuple(-k for k in e): 1 / c})
 
     def __pow__(self, n):
-        if not isinstance(n, int):
-            raise LaurentError("exponent must be int")
+        if type(n) is not int:
+            raise LaurentError(f"exponent must be an int, got {n!r}")
         if self.is_monomial():
             (e, c), = self.terms.items()
             return LaurentPoly(self.ring, {tuple(n * k for k in e): Fraction(c) ** n})

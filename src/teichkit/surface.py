@@ -71,11 +71,21 @@ def side_vertex(n, side, k):
     return (k, 0, n - k)
 
 
-def _norm_end(n, end):
+def _norm_end(end):
     tri, side = end
     if side not in SIDES:
         raise UnknownSide(f"side must be one of {SIDES}, got {side!r}")
     return (tri, side)
+
+
+def _glued_pairs(n, end_a, end_b):
+    """(k, variable at position k of end_a, variable at position n-k of end_b)
+    for k = 1..n-1: the pairs one gluing identifies, as (triangle_id, vertex)."""
+    (tri_a, side_a), (tri_b, side_b) = end_a, end_b
+    return [
+        (k, (tri_a, side_vertex(n, side_a, k)), (tri_b, side_vertex(n, side_b, n - k)))
+        for k in range(1, n)
+    ]
 
 
 @dataclass(frozen=True)
@@ -114,8 +124,8 @@ class TriangulatedSurface:
         pairs = []
         for raw in self.gluings:
             a, b = raw
-            a = _norm_end(n, tuple(a))
-            b = _norm_end(n, tuple(b))
+            a = _norm_end(tuple(a))
+            b = _norm_end(tuple(b))
             for tid, _ in (a, b):
                 if tid not in tris:
                     raise UnknownTriangle(f"gluing references unknown triangle {tid!r}")
@@ -145,7 +155,7 @@ class TriangulatedSurface:
 
     def glued_partner(self, tri, side):
         """The (triangle, side) glued to this one, or None if open."""
-        end = _norm_end(self.n, (tri, side))
+        end = _norm_end((tri, side))
         if tri not in self.triangles:
             raise UnknownTriangle(f"no triangle {tri!r}")
         return self._partner.get(end)
@@ -271,16 +281,10 @@ class TrianglePathWord:
         return tuple(sorted({t[1] for t in self.tokens if t[0] == "T"}))
 
     def to_json(self):
-        toks = []
-        for t in self.tokens:
-            if t == S_TOKEN:
-                toks.append(["S"])
-            else:
-                toks.append(["T", t[1], t[2], t[3]])
         return {
             "schema": SCHEMA,
             "kind": "triangle_path_word",
-            "tokens": toks,
+            "tokens": [list(t) for t in self.tokens],
             "sign": self.sign,
         }
 
@@ -329,12 +333,11 @@ def amalgamation_classes(surf):
     gluing.
     """
     n = surf.n
-    amalgamated = []
-    for (t1, s1), (t2, s2) in surf.gluings:
-        for k in range(1, n):
-            a = (t1, side_vertex(n, s1, k))
-            b = (t2, side_vertex(n, s2, n - k))
-            amalgamated.append(tuple(sorted((a, b))))
+    amalgamated = {
+        tuple(sorted((a, b)))
+        for end_a, end_b in surf.gluings
+        for _, a, b in _glued_pairs(n, end_a, end_b)
+    }
     free = []
     for tri, side in surf.open_sides():
         for k in range(1, n):
@@ -344,7 +347,7 @@ def amalgamation_classes(surf):
         for v in interior_vertices(n):
             interior.append((tri, v))
     return {
-        "amalgamated": tuple(sorted(set(amalgamated))),
+        "amalgamated": tuple(sorted(amalgamated)),
         "free": tuple(sorted(free)),
         "interior": tuple(sorted(interior)),
     }
@@ -363,40 +366,35 @@ def unamalgamate(surf, end_a, end_b, split=None):
     """Tear one gluing apart, splitting each amalgamated product in two.
 
     end_a, end_b: the glued (triangle, side) pair, in either order.  split:
-    mapping position k (1..n-1, measured along end_a's side) to a pair
-    (value_a, value_b) whose product equals the current amalgamated product
-    at that position; omitted positions and a split of None mean
+    mapping position k (an int in 1..n-1, measured along end_a's side) to a
+    pair (value_a, value_b) whose product equals the current amalgamated
+    product at that position; omitted positions and a split of None mean
     (product, 1).  Returns the surface with the gluing removed and the two
-    sides re-pinned.  Raises NotGlued unless the pair is currently glued.
+    sides re-pinned.  Raises NotGlued unless the pair is currently glued,
+    and UnknownSide for any other split key.
     """
     n = surf.n
-    a = _norm_end(n, tuple(end_a))
-    b = _norm_end(n, tuple(end_b))
+    a = _norm_end(tuple(end_a))
+    b = _norm_end(tuple(end_b))
     if surf._partner.get(a) != b:
         raise NotGlued(f"{a} and {b} are not glued together")
     split = dict(split or {})
-    updates = {}
-    for k in range(1, n):
-        va = (a[0], side_vertex(n, a[1], k))
-        vb = (b[0], side_vertex(n, b[1], n - k))
-        product = surf.triangles[va[0]][va[1]] * surf.triangles[vb[0]][vb[1]]
-        if k in split:
-            left, right = split[k]
-            if left * right != product:
-                raise DomainError(
-                    f"split at position {k} multiplies to {left * right}, "
-                    f"amalgamated product is {product}"
-                )
-        else:
-            left, right = product, product * 0 + 1
-        updates[va] = left
-        updates[vb] = right
-
-    # rebuild assignments; triangles sharing an assignment object are split
-    # apart here, since tearing can re-pin the copies differently
+    for k in split:
+        if type(k) is not int or not 1 <= k <= n - 1:
+            raise UnknownSide(f"split position must be an int in 1..{n - 1}, got {k!r}")
+    # triangles sharing an assignment object are split apart here, since
+    # tearing can re-pin the copies differently
     new_vals = {t: dict(surf.triangles[t].values) for t in surf.triangles}
-    for (tri, vertex), value in updates.items():
-        new_vals[tri][vertex] = value
+    for k, (ta, va), (tb, vb) in _glued_pairs(n, a, b):
+        product = surf.triangles[ta][va] * surf.triangles[tb][vb]
+        left, right = split.get(k, (product, product * 0 + 1))
+        if left * right != product:
+            raise DomainError(
+                f"split at position {k} multiplies to {left * right}, "
+                f"amalgamated product is {product}"
+            )
+        new_vals[ta][va] = left
+        new_vals[tb][vb] = right
     tris = {t: FGAssignment(n, v) for t, v in new_vals.items()}
     gluings = [p for p in surf.gluings if p != tuple(sorted((a, b)))]
     return TriangulatedSurface(tris, gluings)

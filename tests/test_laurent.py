@@ -185,6 +185,30 @@ def test_eval_is_the_defining_sum(p, values):
         assert type(got) is (int if p.is_zero() else Fraction)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: x + True,
+        lambda x: True * x,
+        lambda x: R.const(False),
+        lambda x: x ** True,
+        lambda x: x ** 2.0,
+        lambda x: R.monomial(3, x=2.5),
+        lambda x: R.monomial(3, x=True),
+    ],
+    ids=["x + True", "True * x", "const(False)", "x ** True", "x ** 2.0", "x=2.5", "x=True"],
+)
+def test_bools_and_non_int_exponents_are_refused(make):
+    """A bool is no coefficient and only an int is an exponent: neither is coerced."""
+    with pytest.raises(LaurentError):
+        make(R.gen("x"))
+
+
+def test_a_bool_equals_no_polynomial():
+    assert (R.one == True) is False and (R.zero == False) is False
+    assert R.one != True
+
+
 def test_eval_edge_cases():
     assert R.zero.eval({}) == 0 and type(R.zero.eval({})) is int
     x, y = R.gen("x"), R.gen("y")

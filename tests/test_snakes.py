@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as Q
@@ -55,6 +56,7 @@ from teichkit.snakes import (
     transport_adjugate,
     transport_word,
 )
+from teichkit.surface import TrianglePathWord, TriangulatedSurface, path_matrix, t_token
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -497,6 +499,23 @@ def float_assignment(n, seed):
     return FGAssignment(n, {k: rng.uniform(0.1, 5.0) for k in keys})
 
 
+def mixed_assignment(n, seed):
+    rng = random.Random(seed)
+    keys = side_vertices(n) + interior_vertices(n)
+    return FGAssignment(
+        n,
+        {
+            k: rng.uniform(0.1, 5.0) if i % 2 else Q(rng.randint(1, 9), rng.randint(1, 5))
+            for i, k in enumerate(keys)
+        },
+    )
+
+
+# recorded from the evaluator that runs every word as column operations
+# without division (see test_non_rational_results_are_pinned)
+NON_RATIONAL_DIGEST = "a551d6cd704974d920415e86a784db6fe62af66844de4bea45c9b4e47bf37e79"
+
+
 def same_entries(a, b):
     return a == b and all(
         type(x) is type(y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)
@@ -541,6 +560,27 @@ class TestColumnEvaluation:
     def test_adjugate_needs_matching_assignment(self):
         with pytest.raises(IncompleteAssignment):
             transport_adjugate(3, 1, FGAssignment.constant(4))
+
+    def test_non_rational_results_are_pinned(self):
+        # one sha256 over the reprs of every float, LaurentPoly and mixed
+        # float/Fraction transport and adjugate at n = 2..5, and of a signed
+        # path word with an inverted step: an evaluator rewritten for exact
+        # inputs must leave these bit-identical, entry types included
+        out = []
+        for n in range(2, 6):
+            for z in (
+                float_assignment(n, 900 + n),
+                laurent_assignment(n, 910 + n),
+                mixed_assignment(n, 920 + n),
+            ):
+                for which in (1, 2, 3):
+                    out.append(repr(transport(n, which, z)))
+                    out.append(repr(transport_adjugate(n, which, z)))
+                surf = TriangulatedSurface({"A": z, "B": z.rotated()}, [(("A", "12"), ("B", "12"))])
+                word = TrianglePathWord([t_token("A", 1), "S", t_token("B", 2, True)], sign=-1)
+                out.append(repr(path_matrix(surf, word)))
+        digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
+        assert digest == NON_RATIONAL_DIGEST
 
 
 def generator_assignment(n):

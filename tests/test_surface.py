@@ -179,6 +179,31 @@ def test_amalgamated_class_rescale_is_inert(data):
             assert proj_eq(after, before)
 
 
+def _side_position(v):
+    """The side a non-corner side vertex lies on, and its position k along it."""
+    a, b, c = v
+    return ("12", b) if c == 0 else ("23", c) if a == 0 else ("31", a)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", sorted(WORKED))
+def test_amalgamation_classes_definition(kind, n):
+    """The classes partition every variable of every triangle, and each
+    amalgamated pair joins position k of a glued side with position n-k of
+    its partner, one pair per position of every gluing."""
+    build, names = WORKED[kind]
+    surf, _ = build(n, {name: FGAssignment.constant(n) for name in names})
+    cls = amalgamation_classes(surf)
+    listed = [v for pair in cls["amalgamated"] for v in pair]
+    listed += [*cls["free"], *cls["interior"]]
+    assert sorted(listed) == sorted((t, v) for t, a in surf.triangles.items() for v in a.values)
+    assert len(cls["amalgamated"]) == (n - 1) * len(surf.gluings)
+    for (t1, v1), (t2, v2) in cls["amalgamated"]:
+        (s1, k1), (s2, k2) = _side_position(v1), _side_position(v2)
+        assert surf.glued_partner(t1, s1) == (t2, s2)
+        assert k1 + k2 == n
+
+
 class TestSideVertex:
     def test_maps(self):
         assert side_vertex(3, "12", 1) == (2, 1, 0)
@@ -621,6 +646,16 @@ class TestUnamalgamate:
         )
         assert torn.triangles["t"][va] == prod * 2
         assert torn.triangles["b"][vb] == Fraction(1, 2)
+
+    @pytest.mark.parametrize("k", [0, 3, "1", True], ids=repr)
+    def test_unknown_split_position_refused(self, k):
+        # a key naming no position of the side, even one equal to 1, is refused
+        # rather than ignored or read as a position
+        surf, _ = self._cyl()
+        va, vb = side_vertex(3, "31", 1), side_vertex(3, "23", 2)
+        prod = surf.triangles["t"][va] * surf.triangles["b"][vb]
+        with pytest.raises(UnknownSide, match="split position"):
+            unamalgamate(surf, ("t", "31"), ("b", "23"), {k: (prod, Fraction(1))})
 
     def test_reglue_recovers_products(self):
         surf, _ = self._cyl()

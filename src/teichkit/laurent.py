@@ -65,11 +65,15 @@ class LaurentRing:
         self.zero = LaurentPoly(self, {})
         self.one = LaurentPoly(self, {(0,) * len(self.names): 1})
 
-    def gen(self, name):
+    def _position(self, name):
+        """Index of a generator; an unknown name is a LaurentError."""
         if name not in self.index:
             raise LaurentError(f"no generator {name!r} in ring {self.names}")
+        return self.index[name]
+
+    def gen(self, name):
         e = [0] * len(self.names)
-        e[self.index[name]] = 1
+        e[self._position(name)] = 1
         return LaurentPoly(self, {tuple(e): 1})
 
     def gens(self):
@@ -83,7 +87,7 @@ class LaurentRing:
         for name, k in exps.items():
             if type(k) is not int:
                 raise LaurentError(f"exponent of {name} must be an int, got {k!r}")
-            e[self.index[name]] = k
+            e[self._position(name)] = k
         return LaurentPoly(self, {tuple(e): _coeff(coeff)})
 
     def __repr__(self):
@@ -273,7 +277,7 @@ class LaurentPoly:
         Returns dict[int -> LaurentPoly] in the same ring; each value has
         exponent 0 on `name`.
         """
-        i = self.ring.index[name]
+        i = self.ring._position(name)
         groups = {}
         for e, c in self.terms.items():
             k = e[i]

@@ -20,11 +20,16 @@ left multiplication throughout.
 
 No transport, and no path word of transports, adjugates (inverses up to a
 scalar) and side changes, is built as a product of dense matrices: _evaluate
-runs the whole factor word once as column operations on a running matrix,
-without division.  H_k(t) scales n-k whole columns, so one transport costs
-about n^4/5 entry products: 896, 12,800 and 190,464 at n = 8, 16 and 32.  An
-adjugate costs the same, read off the reversed word with one scalar per
-word, which adds one n^2 scaling.
+runs the whole factor word once as column operations on a running matrix.
+A word whose values are all ints and Fractions runs over int columns and
+divides once per entry, at the end; any other word runs in its values' ring
+without division.  Over ints H_k(p/q) scales every column, by p or by q, so
+each H costs about n^2 products of a small int with a growing one, and the
+column ints reach about 70, 230 and 860 bits at n = 8, 16 and 32 for values
+p/q with p, q <= 9.  One such transport then takes about 0.3, 2 and 50 ms at
+those ranks on one x86-64 core under CPython 3.11 (BENCH_24.json), against
+2, 48 and 360 ms for the same word over Fractions.  An adjugate, read off
+the reversed word with one scalar per word, takes about the same.
 """
 
 from dataclasses import dataclass, field
@@ -40,10 +45,11 @@ from .linalg import _fractions, _integer_row, canonical_vector, mat_mul, mat_pro
 
 
 # The largest rank n an FGAssignment accepts (the smallest is 2).  Its keys
-# number O(n^2) and a transport or an adjugate costs O(n^4) exact operations
-# (an adjugate adds one n^2 scaling per word), so a rank-32 `verify transport`
-# trial takes seconds, while a short document such as "n": 10**9 would not
-# return; it is refused before any key is enumerated.
+# number O(n^2) and a transport or an adjugate costs O(n^4) int products on
+# operands that grow to about 860 bits at n = 32, where one takes about
+# 50 ms, so a rank-32 `verify transport` trial takes under a second, while a
+# short document such as "n": 10**9 would not return; it is refused before
+# any key is enumerated.
 MAX_RANK = 32
 
 
@@ -439,11 +445,17 @@ def _evaluate(n, steps, scalar=1):
     adj(L_k) = I - E_{k+1,k} subtracts instead of adding, adj(H_k(t)) =
     t^(n-k-1) diag(t x k, 1 x (n-k)) scales columns 1..k, and adj(S) =
     (-1)^(n-1) S.  The same pass gathers those scalars into ``scalar``, which
-    multiplies the result once.  Nothing divides, so entries may be ring
+    multiplies the result once.
+
+    The pass also notes whether every H value is an int or a Fraction.  Such
+    an exact word runs over int columns, H_k(p/q) scaling t's columns by p
+    and the others by q while a running denominator gathers the q's: one
+    division per entry, at the end, for exact words.  Any other word enters
+    each t as (t, 1) and ends without a division, so its entries may be ring
     elements such as LaurentPoly.
     """
     word = []
-    one = Fraction(1)
+    one, exact = Fraction(1), True
     for step in steps:
         if step == ("S",):
             word.append(step)
@@ -464,11 +476,13 @@ def _evaluate(n, steps, scalar=1):
                 # Every entry lives in the ring of the widest variable of the
                 # whole word: rationals never widen it.
                 if not isinstance(t, (int, Fraction)):
-                    one = one * (t * 0 + 1)
+                    one, exact = one * (t * 0 + 1), False
                 if inverted:
                     scalar = scalar * t ** (n - k - 1)
-                word.append(("H", range(k) if inverted else range(k, n), t))
-    zero = one * 0
+                low, high = range(k), range(k, n)
+                word.append(("H", low, high, t) if inverted else ("H", high, low, t))
+    one = 1 if exact else one
+    zero, den = one * 0, 1
     cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
     for f in word:
         if f[0] == "S":
@@ -477,9 +491,17 @@ def _evaluate(n, steps, scalar=1):
             k = f[1]
             cols[k - 1] = list(map(f[2], cols[k - 1], cols[k]))
         else:
-            for j in f[1]:
-                cols[j] = [x * f[2] for x in cols[j]]
-    if scalar != 1:
+            _, by_p, by_q, t = f
+            p, q = (t.numerator, t.denominator) if exact else (t, 1)
+            for js, m in ((by_p, p), (by_q, q)):
+                if m != 1:
+                    for j in js:
+                        cols[j] = [x * m for x in cols[j]]
+            den *= q
+    if exact:
+        a, b = scalar.numerator, scalar.denominator * den
+        cols = [[Fraction(x * a, b) for x in c] for c in cols]
+    elif scalar != 1:
         cols = [[x * scalar for x in c] for c in cols]
     return transpose(cols)
 
@@ -494,7 +516,7 @@ def transport(n, which, assignment):
 
 
 def transport_adjugate(n, which, assignment):
-    """adj(T_which), read off the reversed transport word without division.
+    """adj(T_which), read off the reversed transport word with no matrix inverse.
 
     Equal to linalg.adjugate(transport(n, which, assignment)); it is the
     inverse of the transport up to the scalar det(T_which).

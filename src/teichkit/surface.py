@@ -371,7 +371,8 @@ def unamalgamate(surf, end_a, end_b, split=None):
     product at that position; omitted positions and a split of None mean
     (product, 1).  Returns the surface with the gluing removed and the two
     sides re-pinned.  Raises NotGlued unless the pair is currently glued,
-    and UnknownSide for any other split key.
+    UnknownSide for any other split key, and DomainError for a split value
+    that is not a pair (a tuple or list of two values).
     """
     n = surf.n
     a = _norm_end(tuple(end_a))
@@ -379,9 +380,11 @@ def unamalgamate(surf, end_a, end_b, split=None):
     if surf._partner.get(a) != b:
         raise NotGlued(f"{a} and {b} are not glued together")
     split = dict(split or {})
-    for k in split:
+    for k, v in split.items():
         if type(k) is not int or not 1 <= k <= n - 1:
             raise UnknownSide(f"split position must be an int in 1..{n - 1}, got {k!r}")
+        if not isinstance(v, (tuple, list)) or len(v) != 2:
+            raise DomainError(f"split at position {k} must be a pair of values, got {v!r}")
     # triangles sharing an assignment object are split apart here, since
     # tearing can re-pin the copies differently
     new_vals = {t: dict(surf.triangles[t].values) for t in surf.triangles}

@@ -104,6 +104,17 @@ def test_monomial_takes_any_generator_name():
     assert m == 3 * ring.gen("coeff") ** 2 / ring.gen("self")
 
 
+def test_unknown_generator_name_is_a_laurent_error():
+    # monomial and split_by refuse an unknown name as gen does, not with a
+    # bare KeyError
+    ring = LaurentRing("x", "y")
+    x = ring.gen("x")
+    calls = (lambda: ring.gen("w"), lambda: ring.monomial(1, w=1), lambda: (x + 1).split_by("w"))
+    for call in calls:
+        with pytest.raises(LaurentError, match=r"no generator 'w' in ring \('x', 'y'\)"):
+            call()
+
+
 @settings(max_examples=50)
 @given(polys(), polys(), IMAGES)
 def test_subs_is_a_ring_homomorphism(p, q, images):

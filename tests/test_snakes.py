@@ -561,6 +561,34 @@ class TestColumnEvaluation:
         with pytest.raises(IncompleteAssignment):
             transport_adjugate(3, 1, FGAssignment.constant(4))
 
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_exact_path_word_matches_dense_product(self, n):
+        # an exact word runs over int columns and divides once per entry:
+        # rational and int-valued triangles (all ones at even n, random ints
+        # at odd n), one inverted step (the rational triangle at even n) and
+        # sign -1 against the product of dense factor matrices; each n pays
+        # for one cofactor adjugate
+        rng = random.Random(1000 + n)
+        keys = side_vertices(n) + interior_vertices(n)
+        za = random_assignment(n, 1100 + n)
+        if n % 2:
+            zb = FGAssignment(n, {k: rng.randint(1, 9) for k in keys})
+        else:
+            zb = FGAssignment.constant(n, 1)
+        surf = TriangulatedSurface({"A": za, "B": zb}, [(("A", "12"), ("B", "12"))])
+        inv, zi = ("A", za) if n % 2 == 0 else ("B", zb)
+        word = TrianglePathWord(
+            [t_token("A", 1), "S", t_token("B", 2), "S", t_token(inv, 3, True)], sign=-1
+        )
+        got = path_matrix(surf, word)
+        s = elem_s(n)
+        dense = mat_prod([
+            dense_transport(n, 1, za), s, dense_transport(n, 2, zb), s,
+            adjugate(dense_transport(n, 3, zi)),
+        ])
+        assert got == tuple(tuple(-x for x in row) for row in dense)
+        assert all(type(x) is Q for row in got for x in row)
+
     def test_non_rational_results_are_pinned(self):
         # one sha256 over the reprs of every float, LaurentPoly and mixed
         # float/Fraction transport and adjugate at n = 2..5, and of a signed

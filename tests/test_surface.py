@@ -637,6 +637,12 @@ class TestUnamalgamate:
                 {1: (Fraction(1), Fraction(1))},
             )
 
+    @pytest.mark.parametrize("value", [5, (1, 2, 3), (Fraction(1),), "ab"], ids=repr)
+    def test_split_value_must_be_a_pair(self, value):
+        surf, _ = self._cyl()
+        with pytest.raises(DomainError, match="must be a pair"):
+            unamalgamate(surf, ("t", "31"), ("b", "23"), {1: value})
+
     def test_custom_split_installed(self):
         surf, _ = self._cyl()
         va, vb = side_vertex(3, "31", 1), side_vertex(3, "23", 2)

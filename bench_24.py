@@ -1,6 +1,6 @@
-"""Parent/change measurements of integer-column transport words; writes BENCH_24.json.
+"""Parent/change measurements of transport words and products; writes BENCH_*.json.
 
-    python3 bench_24.py --parent PARENT --change CHANGE --out BENCH_24.json
+    python3 bench_24.py --parent PARENT --change CHANGE --out BENCH_25.json
     python3 bench_24.py --parent PARENT --change CHANGE --pairs 2 --seconds 2 --nmax 8 --out q.json
 
 PARENT and CHANGE are two checkouts of the repository, each with its own
@@ -17,13 +17,15 @@ time, and each side only ever imports teichkit from its own checkout:
   on one seeded rational assignment per n (values p/q with 1 <= p, q <= 9):
   the best of --repeats calls in seconds, the largest reduced entry bit
   length, and, from one more call under sys.settrace, the largest bit length
-  of a running column entry (an int, or a Fraction's larger part) and of the
-  running denominator `den` (absent where the evaluator keeps none), read at
-  each turn of _evaluate's factor loop.
+  of a running column entry (an int, or a Fraction's larger part), of the
+  running denominator `den` and of the lazy column scales `e` (None where
+  the evaluator keeps no such local), read from _evaluate's locals each time
+  its factor `f` changes; and linalg.mat_prod of the four boundary loop
+  matrices of surface.four_holed_sphere_fg on four such assignments: the
+  best of --repeats products in seconds and the largest entry bit length.
 """
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -110,24 +112,32 @@ def seed0(args):
 def sweep_side(nmax, repeats):
     from fractions import Fraction
 
-    from teichkit import snakes
+    from teichkit import linalg, snakes, surface
     from teichkit.flags import interior_vertices
-
-    lines, first = inspect.getsourcelines(snakes._evaluate)
-    header = first + next(i for i, s in enumerate(lines) if s.strip() == "for f in word:")
 
     def bits(x):
         return max(x.numerator.bit_length(), x.denominator.bit_length())
 
     def operand_bits(fn, n, z):
-        seen = {"column_bits": 0, "den_bits": None}
+        seen = {"column_bits": 0, "den_bits": None, "scale_bits": None, "f": None}
+
+        def most(old, new):
+            return new if old is None else max(old, new)
 
         def local(frame, event, arg):
-            if event == "line" and frame.f_lineno == header:
-                cols = frame.f_locals["cols"]
-                seen["column_bits"] = max(seen["column_bits"], *(bits(x) for c in cols for x in c))
-                if "den" in frame.f_locals:
-                    seen["den_bits"] = frame.f_locals["den"].bit_length()
+            # the locals before the line runs: once per factor, they hold the
+            # columns as the previous factor left them
+            if event != "line":
+                return local
+            loc = frame.f_locals
+            if "cols" not in loc or loc.get("f") is None or loc["f"] is seen["f"]:
+                return local
+            seen["f"] = loc["f"]
+            seen["column_bits"] = max(seen["column_bits"], *(bits(x) for c in loc["cols"] for x in c))
+            if "den" in loc:
+                seen["den_bits"] = most(seen["den_bits"], loc["den"].bit_length())
+            if "e" in loc:
+                seen["scale_bits"] = most(seen["scale_bits"], max(s.bit_length() for s in loc["e"]))
             return local
 
         code = snakes._evaluate.__code__
@@ -136,24 +146,36 @@ def sweep_side(nmax, repeats):
             fn(n, 1, z)
         finally:
             sys.settrace(None)
+        del seen["f"]
         return seen
+
+    def best_of(call):
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            out = call()
+            best = min(best, time.perf_counter() - t0)
+        return best, max(bits(x) for row in out for x in row)
+
+    def assignment(rng, n):
+        keys = snakes.side_vertices(n) + interior_vertices(n)
+        return snakes.FGAssignment(
+            n, {k: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for k in keys})
 
     points = []
     for n in range(2, nmax + 1):
         rng = random.Random(n)
-        keys = snakes.side_vertices(n) + interior_vertices(n)
-        values = {k: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for k in keys}
-        z = snakes.FGAssignment(n, values)
+        z = assignment(rng, n)
         for fn in (snakes.transport, snakes.transport_adjugate):
-            best = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                m = fn(n, 1, z)
-                best = min(best, time.perf_counter() - t0)
-            point = {"n": n, "fn": fn.__name__, "seconds": best,
-                     "entry_bits": max(bits(x) for row in m for x in row)}
+            seconds, entry_bits = best_of(lambda: fn(n, 1, z))
+            point = {"n": n, "fn": fn.__name__, "seconds": seconds, "entry_bits": entry_bits}
             point.update(operand_bits(fn, n, z))
             points.append(point)
+        surf, words = surface.four_holed_sphere_fg(n, {t: assignment(rng, n) for t in "lrdc"})
+        loops = [surface.path_matrix(surf, words[f"loop{i}"]) for i in range(1, 5)]
+        seconds, entry_bits = best_of(lambda: linalg.mat_prod(loops, n))
+        points.append({"n": n, "fn": "mat_prod", "seconds": seconds, "entry_bits": entry_bits,
+                       "loop_bits": max(bits(x) for m in loops for row in m for x in row)})
     return points
 
 
@@ -172,7 +194,7 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--parent")
     p.add_argument("--change")
-    p.add_argument("--out", default="BENCH_24.json")
+    p.add_argument("--out", default="BENCH_25.json")
     p.add_argument("--workloads", default=",".join(WORKLOADS))
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=30)
@@ -185,9 +207,9 @@ def main(argv=None):
         print(json.dumps(sweep_side(args.nmax, args.repeats)))
         return 0
     doc = {
-        "about": "Exact transport words run over int columns with one division per entry "
-                 "(snakes._evaluate). Parent and change each run from their own checkout; "
-                 "written by bench_24.py.",
+        "about": "Lazy column scales over a per-rank action table in snakes._evaluate, and "
+                 "integer-numerator linalg.mat_mul. Parent and change each run from their "
+                 "own checkout; written by bench_24.py.",
         "claim": "glued-transport ops_per_s rises",
         "env": {"python": platform.python_version(), "machine": platform.machine(),
                 "nproc": os.cpu_count()},

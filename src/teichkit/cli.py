@@ -274,7 +274,7 @@ def build_parser():
         type=int,
         default=3,
         help=f"triangle rank 2 <= n <= {MAX_RANK} for transport/amalgamation; "
-        "a rational transport or adjugate takes about 0.4 ms at n = 8 and 50 ms at n = 32",
+        "a rational transport or adjugate takes about 0.2 ms at n = 8 and 5-10 ms at n = 32",
     )
     v.set_defaults(func=_cmd_verify)
 

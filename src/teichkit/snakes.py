@@ -21,15 +21,18 @@ left multiplication throughout.
 No transport, and no path word of transports, adjugates (inverses up to a
 scalar) and side changes, is built as a product of dense matrices: _evaluate
 runs the whole factor word once as column operations on a running matrix.
-A word whose values are all ints and Fractions runs over int columns and
-divides once per entry, at the end; any other word runs in its values' ring
-without division.  Over ints H_k(p/q) scales every column, by p or by q, so
-each H costs about n^2 products of a small int with a growing one, and the
-column ints reach about 70, 230 and 860 bits at n = 8, 16 and 32 for values
-p/q with p, q <= 9.  One such transport then takes about 0.3, 2 and 50 ms at
-those ranks on one x86-64 core under CPython 3.11 (BENCH_24.json), against
-2, 48 and 360 ms for the same word over Fractions.  An adjugate, read off
-the reversed word with one scalar per word, takes about the same.
+A word whose values are all ints and Fractions runs over int columns, each
+with a lazy int scale, and divides once per entry, at the end; any other
+word runs in its values' ring without division.  Over ints H_k(p/q)
+multiplies the n column scales, by p or by q, instead of the n^2 entries,
+and L_k folds two columns of different scales over their gcd.  For values
+p/q with p, q <= 9 the column ints then stay near 25, 60 and 130 bits at
+n = 8, 16 and 32, while the scales and the running denominator carry about
+60, 220 and 820.  One such transport takes about 0.17, 0.86 and 5.2 ms at
+those ranks on one x86-64 core under CPython 3.11 (BENCH_25.json), against
+0.58, 2.3 and 29 ms when every H scaled every entry; an adjugate, read off
+the reversed word with one scalar per word, takes about 0.22, 0.97 and
+9.9 ms.
 """
 
 from dataclasses import dataclass, field
@@ -45,11 +48,11 @@ from .linalg import _fractions, _integer_row, canonical_vector, mat_mul, mat_pro
 
 
 # The largest rank n an FGAssignment accepts (the smallest is 2).  Its keys
-# number O(n^2) and a transport or an adjugate costs O(n^4) int products on
-# operands that grow to about 860 bits at n = 32, where one takes about
-# 50 ms, so a rank-32 `verify transport` trial takes under a second, while a
-# short document such as "n": 10**9 would not return; it is refused before
-# any key is enumerated.
+# number O(n^2), and a transport or an adjugate costs O(n^3) int products,
+# n or 2n for each factor of its word, on scales that grow to about 820 bits
+# at n = 32, where one takes 5-10 ms.  A rank-32 `verify amalgamation` trial
+# then takes about a second, while a short document such as "n": 10**9
+# would not return; it is refused before any key is enumerated.
 MAX_RANK = 32
 
 
@@ -432,75 +435,104 @@ def _check_value(key, v):
             raise NonpositiveVariable(f"variable at {key} is zero")
 
 
+# The column actions of transport_word(n, which), kept per (n, which) from
+# its first use: (the word as a tuple, the vertices its H factors read, in
+# word order).
+_ACTIONS = {}
+
+
+def _actions(n, which):
+    got = _ACTIONS.get((n, which))
+    if got is None:
+        word = tuple(transport_word(n, which))
+        got = _ACTIONS[n, which] = word, tuple(f[2] for f in word if f[0] == "H")
+    return got
+
+
 def _evaluate(n, steps, scalar=1):
     """scalar times a word of transports, adjugates and side changes.
 
     A step is ("S",), the side change, or (which, assignment, inverted): T_which,
-    or adj(T_which) when inverted.  The steps multiply left to right.  One pass
-    flattens them into a word of column actions, each a factor multiplying a
-    running matrix on the right: L_k adds column k+1 into column k, H_k(t)
-    scales columns k+1..n by t, S reverses the columns with signs (-1)^j
-    (0-indexed j).  adj(AB) = adj(B) adj(A), so an adjugate walks its word
-    backwards, and up to a scalar each inverse factor is such an action:
-    adj(L_k) = I - E_{k+1,k} subtracts instead of adding, adj(H_k(t)) =
-    t^(n-k-1) diag(t x k, 1 x (n-k)) scales columns 1..k, and adj(S) =
-    (-1)^(n-1) S.  The same pass gathers those scalars into ``scalar``, which
-    multiplies the result once.
+    or adj(T_which) when inverted.  The steps multiply left to right.  Each
+    transport's factors, kept per (n, which) in _ACTIONS, act on a running
+    matrix from the right as column actions: L_k adds column k+1 into column
+    k, H_k(t) scales columns k+1..n by t, S reverses the columns with signs
+    (-1)^j (0-indexed j).  adj(AB) = adj(B) adj(A), so an adjugate walks the
+    same actions backwards, and up to a scalar each inverse factor is such an
+    action: adj(L_k) = I - E_{k+1,k} subtracts instead of adding, adj(H_k(t))
+    = t^(n-k-1) diag(t x k, 1 x (n-k)) scales columns 1..k, and adj(S) =
+    (-1)^(n-1) S.  Those scalars gather into ``scalar``, which multiplies the
+    result once.
 
-    The pass also notes whether every H value is an int or a Fraction.  Such
-    an exact word runs over int columns, H_k(p/q) scaling t's columns by p
-    and the others by q while a running denominator gathers the q's: one
-    division per entry, at the end, for exact words.  Any other word enters
-    each t as (t, 1) and ends without a division, so its entries may be ring
+    A word whose H values are all ints and Fractions runs over int columns
+    c_j with lazy int scales e_j: column j is scalar e_j c_j / den.  H_k(p/q)
+    multiplies each e_j by p or by q (n products, not n^2) and den by q, and
+    an inverted one multiplies scalar by p^(n-k-1) and den by q^(n-k-1); L_k
+    adds columns of equal scale as they are, and otherwise writes
+    e_{k-1} c_{k-1} + e_k c_k over g = gcd(e_{k-1}, e_k), with e_{k-1} = g;
+    S reverses the scales too.  Each entry is one Fraction, at the end.  Any
+    other word enters each t as (t, 1) and scales its columns as it goes, in
+    the ring of the widest value the word reads, so its entries may be ring
     elements such as LaurentPoly.
     """
-    word = []
+    walks = []
     one, exact = Fraction(1), True
     for step in steps:
         if step == ("S",):
-            word.append(step)
+            walks.append(((step,), None, False))
             continue
         which, assignment, inverted = step
         if not isinstance(assignment, FGAssignment) or assignment.n != n:
             raise IncompleteAssignment(f"need a complete assignment for n={n}")
-        factors = transport_word(n, which)
-        for f in reversed(factors) if inverted else factors:
-            if f[0] == "S":
-                word.append(f)
+        word, keys = _actions(n, which)
+        values = assignment.values
+        # Every entry lives in the ring of the widest value the word reads,
+        # in word order: rationals never widen it.
+        for t in map(values.__getitem__, keys[::-1] if inverted else keys):
+            if not isinstance(t, (int, Fraction)):
+                one, exact = one * (t * 0 + 1), False
+        walks.append((word[::-1] if inverted else word, values, inverted))
+    one = 1 if exact else one
+    zero, den, e = one * 0, 1, [1] * n
+    cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
+    for word, values, inverted in walks:
+        for f in word:
+            if f[0] == "L":
+                k = f[1]
+                a, b = e[k - 1], e[k]
+                if a == b:
+                    cols[k - 1] = list(map(sub if inverted else add, cols[k - 1], cols[k]))
+                else:
+                    g = gcd(a, b)
+                    a, b = a // g, -b // g if inverted else b // g
+                    cols[k - 1] = [a * x + b * y for x, y in zip(cols[k - 1], cols[k])]
+                    e[k - 1] = g
+            elif f[0] == "H":
+                k, t = f[1], values[f[2]]
+                p, q = t.as_integer_ratio() if exact else (t, 1)
+                low, high = range(k), range(k, n)
+                if inverted:
+                    scalar, den = scalar * p ** (n - k - 1), den * q ** (n - k - 1)
+                    low, high = high, low
+                for js, m in ((high, p), (low, q)):
+                    if m != 1:
+                        for j in js:
+                            if exact:
+                                e[j] *= m
+                            else:
+                                cols[j] = [x * m for x in cols[j]]
+                den *= q
+            else:
+                cols = [[-x for x in c] if j % 2 else c for j, c in enumerate(cols[::-1])]
+                e.reverse()
                 if inverted and n % 2 == 0:
                     scalar = -scalar
-            elif f[0] == "L":
-                word.append(("L", f[1], sub if inverted else add))
-            else:
-                k, t = f[1], assignment[f[2]]
-                # Every entry lives in the ring of the widest variable of the
-                # whole word: rationals never widen it.
-                if not isinstance(t, (int, Fraction)):
-                    one, exact = one * (t * 0 + 1), False
-                if inverted:
-                    scalar = scalar * t ** (n - k - 1)
-                low, high = range(k), range(k, n)
-                word.append(("H", low, high, t) if inverted else ("H", high, low, t))
-    one = 1 if exact else one
-    zero, den = one * 0, 1
-    cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
-    for f in word:
-        if f[0] == "S":
-            cols = [[-x for x in c] if j % 2 else c for j, c in enumerate(cols[::-1])]
-        elif f[0] == "L":
-            k = f[1]
-            cols[k - 1] = list(map(f[2], cols[k - 1], cols[k]))
-        else:
-            _, by_p, by_q, t = f
-            p, q = (t.numerator, t.denominator) if exact else (t, 1)
-            for js, m in ((by_p, p), (by_q, q)):
-                if m != 1:
-                    for j in js:
-                        cols[j] = [x * m for x in cols[j]]
-            den *= q
     if exact:
         a, b = scalar.numerator, scalar.denominator * den
-        cols = [[Fraction(x * a, b) for x in c] for c in cols]
+        for j, s in enumerate(e):
+            g = gcd(a * s, b)
+            s, d = a * s // g, b // g
+            cols[j] = [Fraction(x * s, d) for x in cols[j]]
     elif scalar != 1:
         cols = [[x * scalar for x in c] for c in cols]
     return transpose(cols)

@@ -48,6 +48,8 @@ class TestProjEq:
         two = ((Q(1), Q(0)), (Q(0), Q(1)))
         assert not proj_eq(one, two)
         assert not proj_eq(((Q(1), Q(2)),), ((Q(1), Q(2)),))
+        assert not proj_eq((), ())
+        assert not proj_eq((), one) and not proj_eq(one, ())
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_same_verdict_as_adjugate_form_on_invertible_b(self, n):
@@ -78,6 +80,66 @@ class TestProjEq:
         assert proj_eq(mat_scale(x * x / y, b), b)
         assert proj_eq(mat_scale(x + y, b), b)
         assert not proj_eq(((x, y + 1), (ring.one, x)), b)
+
+
+def _triple_loop(a, b):
+    """Reference product: entry (i, j) sums a[i][k] * b[k][j] over k in order."""
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def _entry(rng, kind, ring):
+    if kind == "int-fraction":
+        kind = rng.choice(["int", "int", "int", "fraction", "whole-fraction"])
+    elif kind == "mixed":
+        kind = rng.choice(["int", "fraction", "float"])
+    elif kind == "laurent":
+        kind = rng.choice(["fraction", "gen"])
+    if kind == "int":
+        return rng.randint(-9, 9)
+    if kind == "fraction":
+        return Q(rng.randint(-9, 9), rng.randint(1, 6))
+    if kind == "whole-fraction":
+        return Q(rng.randint(-9, 9))
+    if kind == "float":
+        return rng.uniform(-5.0, 5.0)
+    if kind == "bool":
+        return rng.random() < 0.5
+    x, y = ring.gens()
+    return rng.choice([x, y, x * y + 1, x / y - 2])
+
+
+MAT_MUL_KINDS = ["int", "fraction", "int-fraction", "float", "mixed", "bool", "laurent"]
+
+
+class TestMatMul:
+    """mat_mul against the triple loop, entry types included (by repr)."""
+
+    @pytest.mark.parametrize("kind", MAT_MUL_KINDS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_triple_loop(self, kind, n):
+        rng = random.Random(f"{kind}-{n}")
+        ring = LaurentRing("x", "y")
+        shapes = [(n, n, n), (n, rng.randint(1, 6), rng.randint(1, 6))]
+        shapes.append((rng.randint(1, 6), n, rng.randint(1, 6)))
+        for rows, inner, cols in shapes:
+            a = tuple(tuple(_entry(rng, kind, ring) for _ in range(inner)) for _ in range(rows))
+            b = tuple(tuple(_entry(rng, kind, ring) for _ in range(cols)) for _ in range(inner))
+            assert repr(mat_mul(a, b)) == repr(_triple_loop(a, b))
+
+    def test_empty_operands_are_refused(self):
+        for a, b in [((), ()), ((), ((1,),)), (((1,),), ())]:
+            with pytest.raises(linalg.LinAlgError):
+                mat_mul(a, b)
+
+
+def test_non_square_is_never_scalar():
+    # a non-square matrix is never c*I, whatever its leading square block
+    assert is_scalar_matrix(((1, 0, 5), (0, 1, 0))) is None
+    assert is_scalar_matrix(((1, 0), (0, 1), (0, 0))) is None
+    assert is_scalar_matrix(()) is None
 
 
 def _definition_rref(rows):

@@ -514,6 +514,9 @@ def mixed_assignment(n, seed):
 # recorded from the evaluator that runs every word as column operations
 # without division (see test_non_rational_results_are_pinned)
 NON_RATIONAL_DIGEST = "a551d6cd704974d920415e86a784db6fe62af66844de4bea45c9b4e47bf37e79"
+# recorded from the evaluator that scaled every column entry at each H factor
+# (see test_exact_results_are_pinned)
+EXACT_DIGEST = "2bf37761c2583d4bc85897f33feb1b48d2e33d2caa62ffab4553c58b041f47d7"
 
 
 def same_entries(a, b):
@@ -588,6 +591,29 @@ class TestColumnEvaluation:
         ])
         assert got == tuple(tuple(-x for x in row) for row in dense)
         assert all(type(x) is Q for row in got for x in row)
+
+    def test_exact_results_are_pinned(self):
+        # one sha256 over the reprs of every rational, int-valued and all-ones
+        # transport and adjugate at n = 2..16, and of a signed path word with
+        # an inverted step: exact words keep their values and entry types
+        # above the ranks the dense references reach
+        out = []
+        for n in range(2, 17):
+            rng = random.Random(950 + n)
+            keys = side_vertices(n) + interior_vertices(n)
+            for z in (
+                random_assignment(n, 930 + n),
+                FGAssignment(n, {k: rng.randint(1, 9) for k in keys}),
+                FGAssignment.constant(n, 1),
+            ):
+                for which in (1, 2, 3):
+                    out.append(repr(transport(n, which, z)))
+                    out.append(repr(transport_adjugate(n, which, z)))
+                surf = TriangulatedSurface({"A": z, "B": z.rotated()}, [(("A", "12"), ("B", "12"))])
+                word = TrianglePathWord([t_token("A", 1), "S", t_token("B", 2, True)], sign=-1)
+                out.append(repr(path_matrix(surf, word)))
+        digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
+        assert digest == EXACT_DIGEST
 
     def test_non_rational_results_are_pinned(self):
         # one sha256 over the reprs of every float, LaurentPoly and mixed

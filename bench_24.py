@@ -1,11 +1,12 @@
 """Parent/change measurements of transport words and products; writes BENCH_*.json.
 
-    python3 bench_24.py --parent PARENT --change CHANGE --out BENCH_25.json
+    python3 bench_24.py --parent PARENT --change CHANGE --out BENCH_27.json
     python3 bench_24.py --parent PARENT --change CHANGE --pairs 2 --seconds 2 --nmax 8 --out q.json
 
 PARENT and CHANGE are two checkouts of the repository, each with its own
-src/ and perfbench/.  Every measurement runs in fresh processes, one at a
-time, and each side only ever imports teichkit from its own checkout:
+src/ and perfbench/.  Both are byte-compiled first.  Every measurement runs
+in fresh processes, one at a time, and each side only ever imports teichkit
+from its own checkout:
 
 - pairs: perfbench/run.py --trace 0 for each workload, parent and change
   alternating (parent first in even pairs), with each side's quartiles, the
@@ -22,7 +23,14 @@ time, and each side only ever imports teichkit from its own checkout:
   the evaluator keeps no such local), read from _evaluate's locals each time
   its factor `f` changes; and linalg.mat_prod of the four boundary loop
   matrices of surface.four_holed_sphere_fg on four such assignments: the
-  best of --repeats products in seconds and the largest entry bit length.
+  best of --repeats products in seconds and the largest entry bit length;
+- breakdown: timeit minima, in seconds, of one in-process
+  `teichkit verify transport --n 3 --trials 1 --seed 5` op (stdout to a
+  buffer), of its parse (cli.main with the verify command replaced by a
+  no-op), of cli._rand_assignment at n = 3, of the three-transport
+  snakes._evaluate at n = 3, and of one FGAssignment construction from a
+  ready dict of Fractions at n = 3, 7 and 32; --breakdown-runs side
+  processes per side, parent and change alternating.
 """
 
 import argparse
@@ -78,6 +86,16 @@ def summarize(runs):
             "parent_iqr": qp["q3"] - qp["q1"],
         }
     return out
+
+
+def compile_sides(args):
+    # a timed run must not pay for compiling its side's sources: the
+    # environment may forbid writing bytecode, so one side could otherwise
+    # run from bytecode and the other from source (a higher peak RSS and a
+    # slower setup for the second)
+    for side in ("parent", "change"):
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                       cwd=getattr(args, side), stdout=subprocess.DEVNULL, check=True)
 
 
 def pairs(args, workload):
@@ -179,43 +197,102 @@ def sweep_side(nmax, repeats):
     return points
 
 
-def sweep(args):
-    out = {}
-    for side in ("parent", "change"):
-        argv = [sys.executable, str(Path(__file__).resolve()), "--sweep-side",
-                "--nmax", str(args.nmax), "--repeats", str(args.repeats)]
-        env = {"PYTHONPATH": str(Path(getattr(args, side), "src").resolve())}
-        proc = subprocess.run(argv, stdout=subprocess.PIPE, text=True, check=True, env=env)
-        out[side] = json.loads(proc.stdout)
+def breakdown_side(repeats):
+    import contextlib
+    import io
+    import timeit
+    from fractions import Fraction
+
+    from teichkit import cli, snakes
+    from teichkit.flags import interior_vertices
+
+    def best(call, number):
+        return min(timeit.repeat(call, number=number, repeat=repeats)) / number
+
+    argv = ["verify", "transport", "--n", "3", "--trials", "1", "--seed", "5"]
+    sink = io.StringIO()
+
+    def op():
+        with contextlib.redirect_stdout(sink):
+            cli.main(argv)
+        sink.seek(0)
+        sink.truncate()
+
+    out = {"op": best(op, 2000)}
+    # the parser binds the command when it is built: build one on a no-op
+    verify, cli._cmd_verify, cli._parser = cli._cmd_verify, lambda args: 0, None
+    out["parse"] = best(lambda: cli.main(argv), 2000)
+    cli._cmd_verify, cli._parser = verify, None
+    rng = random.Random(5)
+    out["rand_assignment"] = best(lambda: cli._rand_assignment(rng, 3), 2000)
+    z = cli._rand_assignment(rng, 3)
+    out["evaluate"] = best(lambda: snakes._evaluate(3, [(1, z, False), (2, z, False),
+                                                          (3, z, False)]), 2000)
+    for n in (3, 7, 32):
+        rng = random.Random(n)
+        keys = snakes.side_vertices(n) + interior_vertices(n)
+        values = {k: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for k in keys}
+        out[f"fg_assignment_n{n}"] = best(lambda: snakes.FGAssignment(n, values), 6000 // n)
     return out
+
+
+def side_run(args, side, flag):
+    argv = [sys.executable, str(Path(__file__).resolve()), flag,
+            "--nmax", str(args.nmax), "--repeats", str(args.repeats)]
+    env = dict(os.environ, PYTHONPATH=str(Path(getattr(args, side), "src").resolve()))
+    proc = subprocess.run(argv, stdout=subprocess.PIPE, text=True, check=True, env=env)
+    return json.loads(proc.stdout)
+
+
+def sweep(args):
+    return {side: side_run(args, side, "--sweep-side") for side in ("parent", "change")}
+
+
+def breakdown(args):
+    runs = []
+    for i in range(args.breakdown_runs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        runs.append({side: side_run(args, side, "--breakdown-side") for side in order})
+    best = {side: {k: min(r[side][k] for r in runs) for k in runs[0][side]}
+            for side in ("parent", "change")}
+    return {"unit": "s", "best": best, "runs": runs}
 
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--parent")
     p.add_argument("--change")
-    p.add_argument("--out", default="BENCH_25.json")
+    p.add_argument("--out", default="BENCH_27.json")
+    p.add_argument("--about", default="One argparse pass per command in cli.main, and per-rank "
+                   "FGAssignment keys with exact-type value checks.")
+    p.add_argument("--claim", default="glued-transport op_p50_ms falls")
     p.add_argument("--workloads", default=",".join(WORKLOADS))
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=30)
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--nmax", type=int, default=32)
     p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--breakdown-runs", type=int, default=3)
     p.add_argument("--sweep-side", action="store_true", help=argparse.SUPPRESS)
+    p.add_argument("--breakdown-side", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.sweep_side:
         print(json.dumps(sweep_side(args.nmax, args.repeats)))
         return 0
+    if args.breakdown_side:
+        print(json.dumps(breakdown_side(max(args.repeats, 5))))
+        return 0
+    compile_sides(args)
     doc = {
-        "about": "Lazy column scales over a per-rank action table in snakes._evaluate, and "
-                 "integer-numerator linalg.mat_mul. Parent and change each run from their "
-                 "own checkout; written by bench_24.py.",
-        "claim": "glued-transport ops_per_s rises",
+        "about": args.about + " Parent and change each run from their own checkout; "
+                 "written by bench_24.py.",
+        "claim": args.claim,
         "env": {"python": platform.python_version(), "machine": platform.machine(),
                 "nproc": os.cpu_count()},
         "pairs": [pairs(args, wl) for wl in args.workloads.split(",") if wl],
         "seed0": seed0(args),
         "sweep": sweep(args),
+        "breakdown": breakdown(args),
     }
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0

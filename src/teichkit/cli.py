@@ -10,8 +10,13 @@ var TEICHKIT_SCALAR picks the default scalar mode for --scalar flags.
 
 The argument parser is built once per process, on the first call of `main`,
 and reused: building it costs over ten times what parsing one command
-line does, and `parse_args` leaves it unchanged, filling a fresh namespace
-from its defaults on every call.  `build_parser` still returns a new one.
+line does, and parsing leaves it unchanged, filling a fresh namespace from
+its defaults on every call.  `build_parser` still returns a new one.  When
+the first argument names a subcommand, `main` parses the rest with that
+subcommand's parser alone: one pass, where the full parser makes two.  Any
+other command line (none, -h, an unknown command, or one that leaves
+arguments over) goes to the full parser, so usage and error messages are
+the full parser's.
 """
 
 import argparse
@@ -27,11 +32,10 @@ from . import confluence, fatgraph, surface
 from .encode import SCHEMA, scalar_from_json, scalar_to_json
 from .errors import DomainError, SchemaError
 from .fatgraph import FatGraph, PathWord, pair_of_pants
-from .flags import interior_vertices
 from .laurent import LaurentRing
 from .linalg import is_scalar_matrix, proj_eq
 from .scene import Scene, pants_scene, render_svg
-from .snakes import MAX_RANK, FGAssignment, _evaluate, side_vertices
+from .snakes import MAX_RANK, FGAssignment, _evaluate, _vertices
 
 # The most trials one `verify` run accepts: work per invocation stays bounded.
 MAX_TRIALS = 1000
@@ -109,8 +113,7 @@ def _nontrivial(rng):
 
 
 def _rand_assignment(rng, n):
-    keys = side_vertices(n) + interior_vertices(n)
-    return FGAssignment(n, {k: _rand_q(rng) for k in keys})
+    return FGAssignment(n, {k: _rand_q(rng) for k in _vertices(n)[0]})
 
 
 def _check_fricke(rng, n, shared):
@@ -252,6 +255,7 @@ def build_parser():
         description="exact-arithmetic toolkit for hyperbolic surfaces",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    p._commands = sub.choices  # each subcommand's parser, by name, for main
 
     h = sub.add_parser("holonomy", help="evaluate a path word on a fat graph")
     h.add_argument("graph", help="fat graph JSON file")
@@ -302,7 +306,11 @@ def main(argv=None):
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _parser._commands.get(argv[0]) if argv else None
+    args, rest = command.parse_known_args(argv[1:]) if command else (None, None)
+    if command is None or rest:
+        args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

@@ -138,8 +138,9 @@ def limit_coordinates():
     """Finite parts of the chewed trace coordinates, rescaled per RESCALINGS.
 
     Built once per process, on the first call, and shared: every later call
-    returns that same LimitCoords.  Sharing is safe because a LaurentPoly is
-    hashable and has no mutating methods.
+    returns that same LimitCoords.  A LaurentPoly keeps its terms in a plain
+    dict, so the shared coordinates must not be mutated: an edit such as
+    ``limit_coordinates().x1.terms.clear()`` changes every later call.
     """
     global _LIMIT
     if _LIMIT is None:

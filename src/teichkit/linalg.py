@@ -10,14 +10,14 @@ their results.
 
 Products cost O(n^3) and projective equality O(n^2).  A product whose
 entries are all ints and Fractions clears each row of its left factor and
-each column of its right one to ints once and makes one Fraction per entry:
-the four boundary loop matrices of a rank-7 four-holed sphere
-(surface.four_holed_sphere_fg) multiply in about 0.6 ms instead of 8 ms
-with a gcd per entry product (BENCH_25.json).  Det and adjugate expand
-cofactors and grow like n!; they serve tests only, as references, and
-no other module of the package imports them: snakes evaluates and inverts
-transports from their words, Flag checks invertibility by rank, and
-flags.triple_ratio takes its 3x3 determinants as triple products.
+each column of its right one to ints once and makes one Fraction per
+entry, instead of one gcd per entry product; BENCH_25.json times it on the
+four boundary loop matrices of surface.four_holed_sphere_fg.  Det and
+adjugate expand cofactors and grow like n!; they serve tests only, as
+references, and no other module of the package imports them: snakes
+evaluates and inverts transports from their words, Flag checks
+invertibility by rank, and flags.triple_ratio takes its 3x3 determinants
+as triple products.
 """
 
 from fractions import Fraction

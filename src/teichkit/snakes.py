@@ -28,11 +28,10 @@ multiplies the n column scales, by p or by q, instead of the n^2 entries,
 and L_k folds two columns of different scales over their gcd.  For values
 p/q with p, q <= 9 the column ints then stay near 25, 60 and 130 bits at
 n = 8, 16 and 32, while the scales and the running denominator carry about
-60, 220 and 820.  One such transport takes about 0.17, 0.86 and 5.2 ms at
-those ranks on one x86-64 core under CPython 3.11 (BENCH_25.json), against
-0.58, 2.3 and 29 ms when every H scaled every entry; an adjugate, read off
-the reversed word with one scalar per word, takes about 0.22, 0.97 and
-9.9 ms.
+60, 220 and 820.  A transport costs O(n^3) int products, and an adjugate,
+read off the reversed word with one scalar per word, the same;
+BENCH_25.json records both per rank, against the eager scaling of every
+entry by every H.
 """
 
 from dataclasses import dataclass, field
@@ -50,9 +49,8 @@ from .linalg import _fractions, _integer_row, canonical_vector, mat_mul, mat_pro
 # The largest rank n an FGAssignment accepts (the smallest is 2).  Its keys
 # number O(n^2), and a transport or an adjugate costs O(n^3) int products,
 # n or 2n for each factor of its word, on scales that grow to about 820 bits
-# at n = 32, where one takes 5-10 ms.  A rank-32 `verify amalgamation` trial
-# then takes about a second, while a short document such as "n": 10**9
-# would not return; it is refused before any key is enumerated.
+# at n = 32 (BENCH_25.json times them).  A short document such as
+# "n": 10**9 would not return; it is refused before any key is enumerated.
 MAX_RANK = 32
 
 
@@ -358,10 +356,11 @@ class FGAssignment:
         _check_rank(n)
         vals = {}
         for k, v in values.items():
-            if not all(type(x) is int for x in k):
-                raise TypeError(f"vertex {k!r} must have int coordinates")
+            for x in k:
+                if type(x) is not int:
+                    raise TypeError(f"vertex {k!r} must have int coordinates")
             vals[tuple(k)] = v
-        want = set(side_vertices(n)) | set(interior_vertices(n))
+        want = _vertices(n)[1]
         if vals.keys() != want:
             missing = sorted(want - vals.keys())
             extra = sorted(vals.keys() - want)
@@ -384,8 +383,7 @@ class FGAssignment:
     @classmethod
     def constant(cls, n, value=Fraction(1)):
         _check_rank(n)
-        keys = side_vertices(n) + interior_vertices(n)
-        return cls(n, {k: value for k in keys})
+        return cls(n, dict.fromkeys(_vertices(n)[0], value))
 
     def to_json(self):
         return {
@@ -424,15 +422,40 @@ def _check_rank(n):
 
 
 def _check_value(key, v):
-    if isinstance(v, (int, float, Fraction)):
-        if isinstance(v, bool):
-            raise TypeError(f"variable at {key} must be a number, got {v!r}")
-        if not v > 0 or isinstance(v, float) and not isfinite(v):
-            raise NonpositiveVariable(f"variable at {key} must be a positive finite number, got {v}")
+    t = type(v)
+    if t is int or t is Fraction:
+        positive = (v if t is int else v.numerator) > 0
+    elif isinstance(v, bool):
+        raise TypeError(f"variable at {key} must be a number, got {v!r}")
+    elif isinstance(v, (int, float, Fraction)):
+        positive = v > 0 and not (isinstance(v, float) and not isfinite(v))
+    elif isinstance(v, complex):
+        return
     else:
         is_zero = getattr(v, "is_zero", None)
-        if callable(is_zero) and is_zero():
+        if not callable(is_zero):
+            raise TypeError(
+                f"variable at {key} must be a number or a ring element, got {type(v).__name__}"
+            )
+        if is_zero():
             raise NonpositiveVariable(f"variable at {key} is zero")
+        return
+    if not positive:
+        raise NonpositiveVariable(f"variable at {key} must be a positive finite number, got {v}")
+
+
+# The keys of an FGAssignment of rank n, kept per rank from their first use:
+# (the side vertices then the interior ones, as a tuple; the same as a
+# frozenset).  Callers check the rank first.
+_VERTICES = {}
+
+
+def _vertices(n):
+    got = _VERTICES.get(n)
+    if got is None:
+        keys = tuple(side_vertices(n) + interior_vertices(n))
+        got = _VERTICES[n] = keys, frozenset(keys)
+    return got
 
 
 # The column actions of transport_word(n, which), kept per (n, which) from

@@ -296,3 +296,30 @@ def test_unwritable_out_is_malformed_input(tmp_path, capsys):
     assert err.count("SchemaError: cannot write") == 2 and not missing.exists()
     assert err.endswith("SchemaError: SVG cannot carry the character '\\ud800'\n")
     assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        *([command, "-h"] for command in ("holonomy", "verify", "render", "pants-scene")),
+        ["nosuch"],
+        ["verify", "transport", "--bogus"],
+        ["verify", "--n", "x", "transport"],
+        ["verify"],
+        ["holonomy", "g.json"],
+        ["render", "s.json"],
+        ["pants-scene", "1", "2"],
+    ],
+    ids=" ".join,
+)
+def test_main_parses_like_the_full_parser(argv, capsys):
+    # every line stops in argparse; main must print and exit exactly as a
+    # fresh full parser does, whichever parser it takes the line to
+    seen = []
+    for parse in (cli.main, lambda a: cli.build_parser().parse_args(a)):
+        with pytest.raises(SystemExit) as stop:
+            parse(list(argv))
+        seen.append((stop.value.code, *capsys.readouterr()))
+    assert seen[0] == seen[1]

@@ -728,7 +728,71 @@ class TestFlagOracle:
         assert triple_ratio(cfg, (1, 1, 1)) == Z111
 
 
+def _edited(n=3, drop=(), add=(), **edits):
+    """The constant rank-n assignment with keys dropped, added or renamed
+    (``rename``) and values replaced (``value`` at (1, 1, 1))."""
+    vals = dict(FGAssignment.constant(n).values)
+    for k in drop:
+        del vals[k]
+    for k in add:
+        vals[k] = Q(1)
+    old, new = edits.get("rename", (None, None))
+    vals = {(new if k == old else k): v for k, v in vals.items()}
+    if "value" in edits:
+        vals[(1, 1, 1)] = edits["value"]
+    return vals
+
+
+# (rank, values, the class and the exact message of the refusal), one row per
+# way an assignment can be refused, listed in the order the constructor checks
+_REFUSALS = {
+    "float key coordinate": (3, _edited(rename=((1, 2, 0), (1.0, 2, 0))), TypeError,
+                             "vertex (1.0, 2, 0) must have int coordinates"),
+    "bool key coordinate": (3, _edited(rename=((1, 2, 0), (True, 2, 0))), TypeError,
+                            "vertex (True, 2, 0) must have int coordinates"),
+    "float key coordinate before a missing key": (
+        3, _edited(drop=[(1, 1, 1)], rename=((1, 2, 0), (1.0, 2, 0))), TypeError,
+        "vertex (1.0, 2, 0) must have int coordinates"),
+    "missing key": (3, _edited(drop=[(1, 1, 1)]), IncompleteAssignment,
+                    "assignment keys off for n=3: missing [(1, 1, 1)], extra []"),
+    "extra key": (3, _edited(add=[(3, 0, 0)]), IncompleteAssignment,
+                  "assignment keys off for n=3: missing [], extra [(3, 0, 0)]"),
+    "missing key before a bad value": (
+        3, _edited(drop=[(2, 1, 0)], value=Q(0)), IncompleteAssignment,
+        "assignment keys off for n=3: missing [(2, 1, 0)], extra []"),
+    "bool value": (3, _edited(value=True), TypeError,
+                   "variable at (1, 1, 1) must be a number, got True"),
+    **{
+        f"value {v!r}": (3, _edited(value=v), NonpositiveVariable,
+                         f"variable at (1, 1, 1) must be a positive finite number, got {v}")
+        for v in (0, -1, Q(0), Q(-1, 2), float("nan"), float("inf"), -0.5)
+    },
+    "zero LaurentPoly": (3, _edited(value=LaurentRing("a").zero), NonpositiveVariable,
+                         "variable at (1, 1, 1) is zero"),
+    **{
+        f"value {v!r}": (3, _edited(value=v), TypeError,
+                         f"variable at (1, 1, 1) must be a number or a ring element, "
+                         f"got {type(v).__name__}")
+        for v in ("abc", None, [1])
+    },
+    "rank 1": (1, {}, RankOutOfRange, "rank must be at least 2, got 1"),
+    "rank 33": (33, {}, RankOutOfRange, "rank exceeds MAX_RANK = 32"),
+    "rank True": (True, {}, RankOutOfRange, "rank must be an int, got bool"),
+}
+
+
 class TestAssignment:
+    @pytest.mark.parametrize("case", sorted(_REFUSALS))
+    def test_refusals_are_pinned(self, case):
+        n, vals, cls, message = _REFUSALS[case]
+        with pytest.raises(Exception) as refused:
+            FGAssignment(n, vals)
+        assert (type(refused.value), str(refused.value)) == (cls, message)
+
+    @pytest.mark.parametrize("value", [2 + 1j, LaurentRing("a").gens()[0]], ids=repr)
+    def test_complex_and_ring_values_are_accepted(self, value):
+        assert FGAssignment.constant(3, value)[(1, 1, 1)] == value
+
     def test_requires_every_vertex(self):
         vals = {v: Q(1) for v in side_vertices(3)}
         with pytest.raises(IncompleteAssignment):

@@ -1,7 +1,14 @@
-"""Parent/change measurements of transport words and products; writes BENCH_*.json.
+"""Parent/change measurements of transport words, products and the flags
+pipeline; writes BENCH_*.json.
 
-    python3 bench_24.py --parent PARENT --change CHANGE --out BENCH_27.json
-    python3 bench_24.py --parent PARENT --change CHANGE --pairs 2 --seconds 2 --nmax 8 --out q.json
+    python3 bench_24.py --parent PARENT --change CHANGE --about TEXT --claim TEXT \
+        --out BENCH_28.json
+    python3 bench_24.py --parent PARENT --change CHANGE --about TEXT --claim TEXT \
+        --pairs 2 --seconds 2 --nmax 8 --out q.json
+    PYTHONPATH=src python3 bench_24.py --sweep-side --nmax 6 --repeats 1
+
+The last form runs both sweeps below in the current checkout alone and
+prints them as JSON; it fails when a check in them fails.
 
 PARENT and CHANGE are two checkouts of the repository, each with its own
 src/ and perfbench/.  Both are byte-compiled first.  Every measurement runs
@@ -14,16 +21,25 @@ from its own checkout:
 - seed0: one short seed-0 run per workload and side, which checks every op
   against the digests in perfbench/reference.json, and one traced seed-0
   glued-transport run per side (per-layer self times);
-- sweep: transport(n, 1, z) and transport_adjugate(n, 1, z) at n = 2..nmax
-  on one seeded rational assignment per n (values p/q with 1 <= p, q <= 9):
-  the best of --repeats calls in seconds, the largest reduced entry bit
-  length, and, from one more call under sys.settrace, the largest bit length
-  of a running column entry (an int, or a Fraction's larger part), of the
-  running denominator `den` and of the lazy column scales `e` (None where
-  the evaluator keeps no such local), read from _evaluate's locals each time
-  its factor `f` changes; and linalg.mat_prod of the four boundary loop
-  matrices of surface.four_holed_sphere_fg on four such assignments: the
-  best of --repeats products in seconds and the largest entry bit length;
+- transport sweep: transport(n, 1, z) and transport_adjugate(n, 1, z) at
+  n = 2..nmax on one seeded rational assignment per n (values p/q with
+  1 <= p, q <= 9): the best of --repeats calls in seconds, the largest
+  reduced entry bit length, and, from one more call under sys.settrace, the
+  largest bit length of a running column entry (an int, or a Fraction's
+  larger part), of the running denominator `den` and of the lazy column
+  scales `e` (None where the evaluator keeps no such local), read from
+  _evaluate's locals each time its factor `f` changes; and linalg.mat_prod
+  of the four boundary loop matrices of surface.four_holed_sphere_fg on four
+  such assignments: the best of --repeats products in seconds and the
+  largest entry bit length;
+- flags sweep: at n = 3..min(nmax, 16), TestFlagOracle's triple (the
+  standard flag, the reversed flag and the flag of transport(n, 1, z) for
+  one seeded z per n, values as above), through each stage of the flags
+  pipeline: the three Flag constructions, general_position, line_config,
+  triple_ratio at every interior vertex, and snake_basis of the three
+  boundary snakes; the best of --repeats in seconds and the largest bit
+  length of the stage's output (None for general_position's bool).  Every
+  triple ratio must equal z's value at its vertex, or the sweep fails;
 - breakdown: timeit minima, in seconds, of one in-process
   `teichkit verify transport --n 3 --trials 1 --seed 5` op (stdout to a
   buffer), of its parse (cli.main with the verify command replaced by a
@@ -130,7 +146,7 @@ def seed0(args):
 def sweep_side(nmax, repeats):
     from fractions import Fraction
 
-    from teichkit import linalg, snakes, surface
+    from teichkit import flags, linalg, snakes, surface
     from teichkit.flags import interior_vertices
 
     def bits(x):
@@ -173,7 +189,10 @@ def sweep_side(nmax, repeats):
             t0 = time.perf_counter()
             out = call()
             best = min(best, time.perf_counter() - t0)
-        return best, max(bits(x) for row in out for x in row)
+        return best, out
+
+    def most_bits(rows):
+        return max(bits(x) for row in rows for x in row)
 
     def assignment(rng, n):
         keys = snakes.side_vertices(n) + interior_vertices(n)
@@ -185,16 +204,45 @@ def sweep_side(nmax, repeats):
         rng = random.Random(n)
         z = assignment(rng, n)
         for fn in (snakes.transport, snakes.transport_adjugate):
-            seconds, entry_bits = best_of(lambda: fn(n, 1, z))
-            point = {"n": n, "fn": fn.__name__, "seconds": seconds, "entry_bits": entry_bits}
+            seconds, out = best_of(lambda: fn(n, 1, z))
+            point = {"n": n, "fn": fn.__name__, "seconds": seconds, "entry_bits": most_bits(out)}
             point.update(operand_bits(fn, n, z))
             points.append(point)
         surf, words = surface.four_holed_sphere_fg(n, {t: assignment(rng, n) for t in "lrdc"})
         loops = [surface.path_matrix(surf, words[f"loop{i}"]) for i in range(1, 5)]
-        seconds, entry_bits = best_of(lambda: linalg.mat_prod(loops, n))
-        points.append({"n": n, "fn": "mat_prod", "seconds": seconds, "entry_bits": entry_bits,
+        seconds, out = best_of(lambda: linalg.mat_prod(loops, n))
+        points.append({"n": n, "fn": "mat_prod", "seconds": seconds, "entry_bits": most_bits(out),
                        "loop_bits": max(bits(x) for m in loops for row in m for x in row)})
-    return points
+
+    stages = []
+
+    def stage(n, name, call, rows_of=None):
+        seconds, out = best_of(call)
+        stages.append({"n": n, "stage": name, "seconds": seconds,
+                       "out_bits": most_bits(rows_of(out)) if rows_of else None})
+        return out
+
+    for n in range(3, min(nmax, 16) + 1):
+        # TestFlagOracle's triple: the standard and reversed flags and the
+        # flag of T_1(z), whose triple ratios are z's interior values
+        z = assignment(random.Random(100 + n), n)
+        rows = [flags.standard_flag(n).rows, flags.reversed_flag(n).rows,
+                snakes.transport(n, 1, z)]
+        vertices = interior_vertices(n)
+        sides = [snakes.boundary_snake_12(n), snakes.boundary_snake_23(n),
+                 snakes.boundary_snake_31(n)]
+        triple = stage(n, "flags", lambda: [flags.Flag(r) for r in rows],
+                       lambda fs: [r for f in fs for r in f.rows])
+        stage(n, "general_position", lambda: flags.general_position(*triple))
+        cfg = stage(n, "line_config", lambda: flags.line_config(*triple),
+                    lambda c: [*c.lines.values(), *(r for p in c.planes.values() for r in p)])
+        ratios = stage(n, "triple_ratio", lambda: [flags.triple_ratio(cfg, v) for v in vertices],
+                       lambda rs: [rs])
+        if ratios != [z[v] for v in vertices]:
+            raise AssertionError(f"triple ratios at n = {n} are not the assignment's values")
+        stage(n, "snake_basis", lambda: [snakes.snake_basis(cfg, s) for s in sides],
+              lambda bases: [r for basis in bases for r in basis])
+    return {"transport": points, "flags": stages}
 
 
 def breakdown_side(repeats):
@@ -262,10 +310,9 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--parent")
     p.add_argument("--change")
-    p.add_argument("--out", default="BENCH_27.json")
-    p.add_argument("--about", default="One argparse pass per command in cli.main, and per-rank "
-                   "FGAssignment keys with exact-type value checks.")
-    p.add_argument("--claim", default="glued-transport op_p50_ms falls")
+    p.add_argument("--out", default="BENCH_28.json")
+    p.add_argument("--about", help="what the change does, for the record")
+    p.add_argument("--claim", help="the metric the change claims to improve, or that none is")
     p.add_argument("--workloads", default=",".join(WORKLOADS))
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=30)
@@ -282,6 +329,8 @@ def main(argv=None):
     if args.breakdown_side:
         print(json.dumps(breakdown_side(max(args.repeats, 5))))
         return 0
+    if not (args.parent and args.change and args.about and args.claim):
+        p.error("a record needs --parent, --change, --about and --claim")
     compile_sides(args)
     doc = {
         "about": args.about + " Parent and change each run from their own checkout; "

@@ -278,7 +278,8 @@ def build_parser():
         type=int,
         default=3,
         help=f"triangle rank 2 <= n <= {MAX_RANK} for transport/amalgamation; "
-        "a rational transport or adjugate takes about 0.2 ms at n = 8 and 5-10 ms at n = 32",
+        "a rational transport or adjugate costs O(n^3) int products; the BENCH_*.json "
+        "files at the repository root record its time per rank",
     )
     v.set_defaults(func=_cmd_verify)
 

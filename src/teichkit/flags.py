@@ -12,11 +12,15 @@ Everything in this module is exact.  Every output is projective, so rank,
 transversality and genericity are decided over the integers, on rows with
 cleared denominators, by linalg's fraction-free row step, which divides each
 row it changes by its content.  Fractions appear only in results:
-canonical_vector lines, row_space planes and the returned ratios.
+canonical_vector lines, row_space planes and the returned ratios.  Each
+integer form is made once, where its rows are made: ``line_config`` clears
+F3's rows for its elimination, and a ``LineConfig`` clears each of its lines
+at construction to the integer generator that ``triple_ratio`` and
+``snakes.snake_basis`` read.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from operator import mul
@@ -310,11 +314,16 @@ class LineConfig:
     a huge n costs nothing.  ``from_json`` accepts a key only in the
     spelling ``to_json`` writes ("1,0,0", not "01,0,0"), so no two JSON keys
     name the same tile.
+
+    Each line's integer generator is derived once, after these checks, and
+    the consumers read it in place of the line, so ``lines`` must not be
+    edited after construction.
     """
 
     n: int
     lines: dict
     planes: dict
+    _integer_lines: dict = field(init=False, compare=False)
 
     __hash__ = None
 
@@ -338,6 +347,8 @@ class LineConfig:
             math.isfinite(x) for x in chain.from_iterable(vectors) if type(x) is float
         ):
             raise DimensionMismatch("a line or plane entry is not a finite number")
+        integer_lines = {k: _integer_row(v) for k, v in self.lines.items()}
+        object.__setattr__(self, "_integer_lines", integer_lines)
 
     def __repr__(self):
         return f"LineConfig(n={self.n}, {len(self.lines)} lines, {len(self.planes)} planes)"
@@ -435,10 +446,12 @@ def triple_ratio(config, vertex):
 
     of 3x3 determinants taken in any basis of that subspace, where A,B,C are
     the corner lines and AB,BC,CA the intermediate ones.  The value does not
-    depend on the basis nor on the scaling of any generator: the determinants
-    are triple products (P×Q)·R of the six lines' coordinates in the first
-    three rows of one integer echelon of them as columns.  The corners may be
-    coplanar, so they are not used as a basis.
+    depend on the basis nor on the scaling of any generator.  As in
+    ``pencil_cross_ratio``, one integer echelon of the six generators as rows
+    finds the pivot columns of their span; projecting onto those three
+    columns is injective on the span, so the determinants are triple products
+    (P×Q)·R of the generators' entries there.  The corners may be coplanar,
+    so they are not used as a basis.
     For a generic triple F, with F* and Δ as in
     ``general_position``, triple_ratio(line_config(F), (a,b,c)) is 1/X(F*),
     Fock-Goncharov's X = Δ_{a+1,b-1,c} Δ_{a,b+1,c-1} Δ_{a-1,b,c+1} /
@@ -451,12 +464,13 @@ def triple_ratio(config, vertex):
         (a + 1, b - 1, c - 1), (a, b, c - 1), (a - 1, b + 1, c - 1),
         (a - 1, b, c), (a - 1, b - 1, c + 1), (a, b - 1, c),
     )
-    m, pivots = _echelon(zip(*(config.lines[k] for k in keys), strict=True))
+    lines = [config._integer_lines[k] for k in keys]
+    pivots = _echelon(lines)[1]
     if len(pivots) != 3:
         raise DegenerateConfiguration(
             f"lines around {vertex} span dimension {len(pivots)}, expected 3"
         )
-    A, AB, B, BC, C, CA = zip(*m[:3])
+    A, AB, B, BC, C, CA = ([g[p] for p in pivots] for g in lines)
     x, y, z = _cross(A, AB), _cross(B, BC), _cross(C, CA)
     num = sum(map(mul, x, C)) * sum(map(mul, z, B)) * sum(map(mul, y, A))
     den = sum(map(mul, x, B)) * sum(map(mul, y, C)) * sum(map(mul, z, A))

@@ -140,6 +140,7 @@ class Snake:
     tiles: tuple
     n: int = field(init=False, compare=False)
     axis: int = field(init=False, compare=False)
+    _frames: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
         tiles = tuple(tuple(t) for t in self.tiles)
@@ -156,8 +157,9 @@ class Snake:
         axis = next((k for k in range(3) if tiles[0][k] == n - 1), None)
         if axis is None:
             raise BadSegment(f"snake must start at a corner tile, got {tiles[0]}")
+        frames = []
         for a, b in zip(tiles, tiles[1:]):
-            _segment_frame(a, b)
+            frames.append(_segment_frame(a, b))
             if a[axis] - b[axis] != 1:
                 raise BadSegment(
                     f"segment {a} -> {b} is parallel to the target side"
@@ -165,6 +167,7 @@ class Snake:
         object.__setattr__(self, "tiles", tiles)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "_frames", tuple(frames))
 
     def __repr__(self):
         return f"Snake({list(self.tiles)})"
@@ -246,27 +249,32 @@ def snake_basis(config, snake, first=None):
     v_b + v_a in line(c) for a clockwise segment and v_b - v_a in line(c)
     for a counterclockwise one: over the integers, by Cramer's rule on a
     nonzero 2x2 minor of (v_b, v_c), checked on every coordinate.  Rows are
-    returned in snake order, as Fractions.
+    returned in snake order, as Fractions; the first is ``first``, or the
+    stored line itself.
+
+    The lines b and c are read as the integer generators the config derived
+    at construction, and each segment's gray corner and axes as the snake
+    found them when it checked the segment.  A given ``first`` must span the
+    stored first line, compared projectively.
     """
-    lines = config.lines
+    lines = config._integer_lines
     if config.n != snake.n:
         raise BadSegment(f"snake for n={snake.n} but config has n={config.n}")
-    g0 = lines[snake.tiles[0]]
+    tiles = snake.tiles
+    g0 = lines[tiles[0]]
     if first is None:
-        v = g0
+        v = config.lines[tiles[0]]
     else:
         v = tuple(_fractions(first))
-        if canonical_vector(v) != g0:
+        if canonical_vector(v) != (canonical_vector(g0) if any(g0) else None):
             raise DegenerateConfiguration("first vector not on the snake's first line")
     rows = [v]
     # the last vector is vec / den, with integer entries
     vec, den = _integer_row(v), lcm(*(x.denominator for x in _fractions(v)))
-    for idx in range(snake.n - 1):
-        a, b = snake.tiles[idx], snake.tiles[idx + 1]
-        m, i, j = _segment_frame(a, b)
+    for a, b, (m, i, j) in zip(tiles, tiles[1:], snake._frames):
         k = 3 - i - j
         gamma = tuple(m[x] + (1 if x == k else 0) for x in range(3))
-        u, w = _integer_row(lines[b]), _integer_row(lines[gamma])
+        u, w = lines[b], lines[gamma]
         rhs = [-x for x in vec] if (i, j) in _CLOCKWISE else vec
         pairs = combinations(range(len(u)), 2)
         s, t = next(((s, t) for s, t in pairs if u[s] * w[t] != u[t] * w[s]), (0, 0))
@@ -341,9 +349,10 @@ class FGAssignment:
     Keys are the 3(n-1) side vertices and the (n-1)(n-2)/2 interior vertices
     of the sum-n lattice triangle; the constructor demands exactly that key
     set.  Values are positive scalars, or symbolic ring elements for exact
-    manipulation (symbolics are only checked to be nonzero).  A vertex
-    coordinate that is not an int (a bool included) is a TypeError, which
-    ``from_json`` reports as a SchemaError, as it does a vertex listed twice.
+    manipulation (symbolics and complex numbers are only checked to be
+    nonzero).  A vertex coordinate that is not an int (a bool included) is a
+    TypeError, which ``from_json`` reports as a SchemaError, as it does a
+    vertex listed twice.
     """
 
     n: int
@@ -430,6 +439,8 @@ def _check_value(key, v):
     elif isinstance(v, (int, float, Fraction)):
         positive = v > 0 and not (isinstance(v, float) and not isfinite(v))
     elif isinstance(v, complex):
+        if not v:
+            raise NonpositiveVariable(f"variable at {key} is zero")
         return
     else:
         is_zero = getattr(v, "is_zero", None)

@@ -1,6 +1,8 @@
 """Flag triples, their line/plane configurations, and projective ratios."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction as Q
 
@@ -33,6 +35,15 @@ from teichkit.flags import (
 )
 from teichkit.halfplane import DegenerateInput
 from teichkit.linalg import canonical_vector, rank, row_space
+from teichkit.snakes import (
+    FGAssignment,
+    boundary_snake_12,
+    boundary_snake_23,
+    boundary_snake_31,
+    side_vertices,
+    snake_basis,
+    transport,
+)
 
 
 def example_flags(a, b, g):
@@ -602,6 +613,81 @@ class TestTripleRatio:
         assert len(cfg.planes) == 6
         for vtx in interior_vertices(4):
             assert triple_ratio(cfg, vtx) != 0
+
+
+# sha256 of the flags pipeline's outputs and refusals on seeded triples
+# (see test_flags_outputs_are_pinned)
+FLAGS_DIGEST = "22aa03e4d9573ec6327a5e47f55c3d118bad93b6fb7801577f3dc52062100e73"
+
+
+def _attempt(fn, *args, **kwargs):
+    """repr of fn's result, or the class and message of its refusal."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _generic_triple(rng, n, entries):
+    while True:
+        flags = [_random_flag(rng, n, entries) for _ in range(3)]
+        if general_position(*flags):
+            return flags
+
+
+def _pinned_triples():
+    """Generic triples at n = 2..8: two with integer rows, two with rational
+    rows and TestFlagOracle's three (standard, reversed, Flag(transport(n,
+    which, z))), all seeded."""
+    rng = random.Random(28)
+    for n in range(2, 9):
+        for entries in (range(-9, 10), range(-9, 10), RATIONALS, RATIONALS):
+            yield _generic_triple(rng, n, entries)
+        keys = side_vertices(n) + interior_vertices(n)
+        for which in (1, 2, 3):
+            z = FGAssignment(n, {k: Q(rng.randint(1, 60), rng.randint(1, 17)) for k in keys})
+            yield standard_flag(n), reversed_flag(n), Flag(transport(n, which, z))
+
+
+def _consumers(cfg, scaled_first=False):
+    """triple_ratio at every interior vertex and snake_basis of the three
+    boundary snakes; with ``scaled_first`` also snake_basis from 3 times the
+    stored first line."""
+    n = cfg.n
+    out = [_attempt(triple_ratio, cfg, v) for v in interior_vertices(n)]
+    for snake in (boundary_snake_12(n), boundary_snake_23(n), boundary_snake_31(n)):
+        out.append(_attempt(snake_basis, cfg, snake))
+        if scaled_first:
+            first = [3 * x for x in cfg.lines[snake.tiles[0]]]
+            out.append(_attempt(snake_basis, cfg, snake, first=first))
+    return out
+
+
+class TestPipelinePinned:
+    def test_flags_outputs_are_pinned(self):
+        # one sha256 over each triple's line configuration, triple ratios and
+        # snake bases, and the same consumers on three copies of its
+        # configuration: lines rescaled by nonzero rationals of either sign,
+        # lines as floats, and one line repeated in place of another
+        rng = random.Random(280)
+        out = []
+        for flags in _pinned_triples():
+            cfg = line_config(*flags)
+            out.append(json.dumps(cfg.to_json(), sort_keys=True))
+            out += _consumers(cfg, scaled_first=True)
+            scale = {k: Q(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 30))
+                     for k in cfg.lines}
+            copies = (
+                {k: [scale[k] * x for x in v] for k, v in cfg.lines.items()},
+                {k: [float(x) for x in v] for k, v in cfg.lines.items()},
+                dict(cfg.lines),
+            )
+            twice, once = rng.sample(sorted(cfg.lines), 2)
+            copies[2][twice] = cfg.lines[once]
+            for lines in copies:
+                out += _consumers(LineConfig(cfg.n, lines, cfg.planes))
+        digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
+        assert digest == FLAGS_DIGEST
 
 
 class TestPencilCrossRatio:

@@ -130,6 +130,19 @@ class TestElementary:
         assert hs_swap_check(n, k, Q(7, 3))
 
 
+# (tiles, the message of the BadSegment refusal), segments checked in order:
+# the first faulty segment is the one reported
+_SNAKE_REFUSALS = {
+    "non-adjacent tiles": ([(2, 0, 0), (0, 2, 0), (0, 1, 1)],
+                           "tiles (2, 0, 0) and (0, 2, 0) are not adjacent"),
+    "parallel segment": ([(2, 0, 0), (1, 1, 0), (1, 0, 1)],
+                         "segment (1, 1, 0) -> (1, 0, 1) is parallel to the target side"),
+    "parallel segment before a non-adjacent pair": (
+        [(3, 0, 0), (2, 1, 0), (2, 0, 1), (0, 2, 1)],
+        "segment (2, 1, 0) -> (2, 0, 1) is parallel to the target side"),
+}
+
+
 class TestSnake:
     def test_boundary_snakes(self):
         assert boundary_snake_12(3).tiles == ((2, 0, 0), (1, 1, 0), (0, 2, 0))
@@ -159,6 +172,13 @@ class TestSnake:
             Snake([(2, 0, 0), (1, 0, 1), (1, 1, 0)])
         with pytest.raises(BadSegment):
             Snake([(2, 0, 0), (1, 1, 0), (1, 0, 1)])
+
+    @pytest.mark.parametrize("case", sorted(_SNAKE_REFUSALS))
+    def test_segment_refusals_are_pinned(self, case):
+        tiles, message = _SNAKE_REFUSALS[case]
+        with pytest.raises(BadSegment) as refused:
+            Snake(tiles)
+        assert str(refused.value) == message
 
     @pytest.mark.parametrize("value", [2.9, 2.0, "2", True, None], ids=repr)
     @pytest.mark.parametrize("tile", [0, 1])
@@ -250,6 +270,21 @@ class TestSnakeBasis:
         cfg = example_config()
         with pytest.raises(DegenerateConfiguration):
             snake_basis(cfg, boundary_snake_12(3), first=(0, 1, 0))
+
+    def test_first_vector_is_compared_projectively(self):
+        # a stored generator that is not canonical is on its own line
+        cfg = example_config()
+        cfg = LineConfig(3, {**cfg.lines, (2, 0, 0): (2, 0, 0)}, cfg.planes)
+        snake = boundary_snake_12(3)
+        base = snake_basis(cfg, snake)
+        assert snake_basis(cfg, snake, first=cfg.lines[(2, 0, 0)]) == base
+        scaled = snake_basis(cfg, snake, first=(-6, 0, 0))
+        assert scaled == tuple(tuple(-3 * x for x in row) for row in base)
+        with pytest.raises(DegenerateConfiguration):
+            snake_basis(cfg, snake, first=(2, 1, 0))
+        zero = LineConfig(3, {**cfg.lines, (2, 0, 0): (0, 0, 0)}, cfg.planes)
+        with pytest.raises(DegenerateConfiguration):
+            snake_basis(zero, snake, first=(1, 0, 0))
 
     def test_dimension_mismatch(self):
         cfg = example_config()
@@ -769,6 +804,7 @@ _REFUSALS = {
     },
     "zero LaurentPoly": (3, _edited(value=LaurentRing("a").zero), NonpositiveVariable,
                          "variable at (1, 1, 1) is zero"),
+    "zero complex": (3, _edited(value=0j), NonpositiveVariable, "variable at (1, 1, 1) is zero"),
     **{
         f"value {v!r}": (3, _edited(value=v), TypeError,
                          f"variable at (1, 1, 1) must be a number or a ring element, "

@@ -2,13 +2,14 @@
 pipeline; writes BENCH_*.json.
 
     python3 bench_24.py --parent PARENT --change CHANGE --about TEXT --claim TEXT \
-        --out BENCH_28.json
+        --out BENCH_29.json
     python3 bench_24.py --parent PARENT --change CHANGE --about TEXT --claim TEXT \
         --pairs 2 --seconds 2 --nmax 8 --out q.json
     PYTHONPATH=src python3 bench_24.py --sweep-side --nmax 6 --repeats 1
 
 The last form runs both sweeps below in the current checkout alone and
-prints them as JSON; it fails when a check in them fails.
+prints them as JSON; it fails when a check in them fails, the operand probe
+included.
 
 PARENT and CHANGE are two checkouts of the repository, each with its own
 src/ and perfbench/.  Both are byte-compiled first.  Every measurement runs
@@ -27,8 +28,12 @@ from its own checkout:
   reduced entry bit length, and, from one more call under sys.settrace, the
   largest bit length of a running column entry (an int, or a Fraction's
   larger part), of the running denominator `den` and of the lazy column
-  scales `e` (None where the evaluator keeps no such local), read from
-  _evaluate's locals each time its factor `f` changes; and linalg.mat_prod
+  scales `e`, read from _evaluate's locals each time its factor changes:
+  the loop locals (code, k, v), or the local `f` of the string-tagged loop
+  that a parent checkout may run (an equal adjacent factor, as in S S, is
+  read once).  Every sweep word is exact, so a probe that reads no column
+  bits or no scale bits fails the sweep: the evaluator's loop has changed
+  under it.  Then linalg.mat_prod
   of the four boundary loop matrices of surface.four_holed_sphere_fg on four
   such assignments: the best of --repeats products in seconds and the
   largest entry bit length;
@@ -153,7 +158,7 @@ def sweep_side(nmax, repeats):
         return max(x.numerator.bit_length(), x.denominator.bit_length())
 
     def operand_bits(fn, n, z):
-        seen = {"column_bits": 0, "den_bits": None, "scale_bits": None, "f": None}
+        seen = {"column_bits": 0, "den_bits": None, "scale_bits": None, "factor": None}
 
         def most(old, new):
             return new if old is None else max(old, new)
@@ -164,9 +169,11 @@ def sweep_side(nmax, repeats):
             if event != "line":
                 return local
             loc = frame.f_locals
-            if "cols" not in loc or loc.get("f") is None or loc["f"] is seen["f"]:
+            # the compiled loop's (code, k, v), or the string-tagged loop's f
+            factor = loc.get("f") or tuple(map(loc.get, ("code", "k", "v")))
+            if "cols" not in loc or not any(factor) or factor == seen["factor"]:
                 return local
-            seen["f"] = loc["f"]
+            seen["factor"] = factor
             seen["column_bits"] = max(seen["column_bits"], *(bits(x) for c in loc["cols"] for x in c))
             if "den" in loc:
                 seen["den_bits"] = most(seen["den_bits"], loc["den"].bit_length())
@@ -180,7 +187,10 @@ def sweep_side(nmax, repeats):
             fn(n, 1, z)
         finally:
             sys.settrace(None)
-        del seen["f"]
+        del seen["factor"]
+        if not seen["column_bits"] or seen["scale_bits"] is None:
+            raise AssertionError(
+                f"the operand probe read no column or scale bits of {fn.__name__} at n = {n}")
         return seen
 
     def best_of(call):
@@ -310,7 +320,7 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--parent")
     p.add_argument("--change")
-    p.add_argument("--out", default="BENCH_28.json")
+    p.add_argument("--out", default="BENCH_29.json")
     p.add_argument("--about", help="what the change does, for the record")
     p.add_argument("--claim", help="the metric the change claims to improve, or that none is")
     p.add_argument("--workloads", default=",".join(WORKLOADS))

@@ -143,10 +143,11 @@ def _rescalings_inert(rng, surf, words):
     Returns whether every word's matrix stayed exactly equal, and the unmoved ones."""
     base = {w: surface.path_matrix(surf, wd) for w, wd in words.items()}
     ok = True
-    for (t1, v1), (t2, v2) in surface.amalgamation_classes(surf)["amalgamated"]:
+    for (t1, v1), (t2, v2) in surface._amalgamated_pairs(surf):
         t = _nontrivial(rng)
-        moved = surf.with_value(t1, v1, surf.triangles[t1][v1] * t)
-        moved = moved.with_value(t2, v2, surf.triangles[t2][v2] / t)
+        moved = surf._with_values(
+            ((t1, v1, surf.triangles[t1][v1] * t), (t2, v2, surf.triangles[t2][v2] / t))
+        )
         ok = ok and all(surface.path_matrix(moved, wd) == base[w] for w, wd in words.items())
     return ok, base
 

@@ -20,12 +20,15 @@ left multiplication throughout.
 
 No transport, and no path word of transports, adjugates (inverses up to a
 scalar) and side changes, is built as a product of dense matrices: _evaluate
-runs the whole factor word once as column operations on a running matrix.
-A word whose values are all ints and Fractions runs over int columns, each
-with a lazy int scale, and divides once per entry, at the end; any other
-word runs in its values' ring without division.  Over ints H_k(p/q)
-multiplies the n column scales, by p or by q, instead of the n^2 entries,
-and L_k folds two columns of different scales over their gcd.  For values
+runs the whole factor word once as column operations on a running matrix,
+each transport word compiled once per (n, which) to a tuple of actions that
+an adjugate walks backwards.  A word whose values are all ints and Fractions
+(a pre-pass stops at the first that is not) runs over int columns, each with
+a lazy int scale, and divides once per entry, at the end; any other word
+runs in its values' ring without division.  Over ints H_k(p/q) multiplies
+the n column scales, by p or by q, instead of the n^2 entries, S puts its
+signs on the odd scales, and L_k folds two columns of different scales over
+their gcd.  For values
 p/q with p, q <= 9 the column ints then stay near 25, 60 and 130 bits at
 n = 8, 16 and 32, while the scales and the running denominator carry about
 60, 220 and 820.  A transport costs O(n^3) int products, and an adjugate,
@@ -173,8 +176,14 @@ class Snake:
         return f"Snake({list(self.tiles)})"
 
     def segment_clockwise(self, i):
-        """True when segment i (between tiles i and i+1) runs clockwise."""
-        _, a, b = _segment_frame(self.tiles[i], self.tiles[i + 1])
+        """True when segment i (between tiles i and i+1) runs clockwise.
+
+        Segments are numbered 0..n-2; any other i, a negative one included,
+        is an IndexError.
+        """
+        if not 0 <= i < self.n - 1:
+            raise IndexError(f"segment index must be in 0..{self.n - 2}, got {i}")
+        _, a, b = self._frames[i]
         return (a, b) in _CLOCKWISE
 
 
@@ -470,16 +479,19 @@ def _vertices(n):
 
 
 # The column actions of transport_word(n, which), kept per (n, which) from
-# its first use: (the word as a tuple, the vertices its H factors read, in
-# word order).
+# its first use: (the word compiled to actions (code, k, vertex), and the
+# vertices its H actions read, in word order).  An inverted step walks the
+# same tuple backwards.
 _ACTIONS = {}
+_EXACT = frozenset((int, Fraction))
 
 
 def _actions(n, which):
     got = _ACTIONS.get((n, which))
     if got is None:
-        word = tuple(transport_word(n, which))
-        got = _ACTIONS[n, which] = word, tuple(f[2] for f in word if f[0] == "H")
+        word = transport_word(n, which)
+        acts = tuple((*f, 0, None)[:3] for f in word)
+        got = _ACTIONS[n, which] = acts, tuple(f[2] for f in word if f[0] == "H")
     return got
 
 
@@ -488,51 +500,55 @@ def _evaluate(n, steps, scalar=1):
 
     A step is ("S",), the side change, or (which, assignment, inverted): T_which,
     or adj(T_which) when inverted.  The steps multiply left to right.  Each
-    transport's factors, kept per (n, which) in _ACTIONS, act on a running
-    matrix from the right as column actions: L_k adds column k+1 into column
-    k, H_k(t) scales columns k+1..n by t, S reverses the columns with signs
-    (-1)^j (0-indexed j).  adj(AB) = adj(B) adj(A), so an adjugate walks the
-    same actions backwards, and up to a scalar each inverse factor is such an
-    action: adj(L_k) = I - E_{k+1,k} subtracts instead of adding, adj(H_k(t))
-    = t^(n-k-1) diag(t x k, 1 x (n-k)) scales columns 1..k, and adj(S) =
-    (-1)^(n-1) S.  Those scalars gather into ``scalar``, which multiplies the
-    result once.
+    transport's factors, compiled per (n, which) in _ACTIONS to actions
+    (code, k, vertex), act on a running matrix from the right as column
+    actions: L_k adds column k+1 into column k, H_k(t) scales columns k+1..n
+    by t, S reverses the columns with signs (-1)^j (0-indexed j).
+    adj(AB) = adj(B) adj(A), so an adjugate walks the same actions backwards,
+    and up to a scalar each inverse factor is such an action: adj(L_k) =
+    I - E_{k+1,k} subtracts instead of adding, adj(H_k(t)) = t^(n-k-1)
+    diag(t x k, 1 x (n-k)) scales columns 1..k, and adj(S) = (-1)^(n-1) S.
+    Those scalars gather into ``scalar``, which multiplies the result once.
 
-    A word whose H values are all ints and Fractions runs over int columns
-    c_j with lazy int scales e_j: column j is scalar e_j c_j / den.  H_k(p/q)
-    multiplies each e_j by p or by q (n products, not n^2) and den by q, and
-    an inverted one multiplies scalar by p^(n-k-1) and den by q^(n-k-1); L_k
-    adds columns of equal scale as they are, and otherwise writes
-    e_{k-1} c_{k-1} + e_k c_k over g = gcd(e_{k-1}, e_k), with e_{k-1} = g;
-    S reverses the scales too.  Each entry is one Fraction, at the end.  Any
-    other word enters each t as (t, 1) and scales its columns as it goes, in
-    the ring of the widest value the word reads, so its entries may be ring
-    elements such as LaurentPoly.
+    A pre-pass scans each step's values for exact types (int, Fraction) and
+    stops at the first other one; only such a step is read again, in word
+    order, for the widest ring.  A word whose values are all exact runs over
+    int columns c_j with lazy int scales e_j: column j is scalar e_j c_j / den.
+    H_k(p/q) multiplies each e_j by p or by q (n products, not n^2) and den by
+    q, and an inverted one multiplies scalar by p^(n-k-1) and den by
+    q^(n-k-1); L_k adds columns of equal scale as they are, and otherwise
+    writes e_{k-1} c_{k-1} + e_k c_k over g = gcd(e_{k-1}, e_k), with e_{k-1}
+    = g; S reverses the columns and the scales and negates every odd scale,
+    n/2 sign flips, not n^2/2.  Each nonzero entry is one Fraction, at the
+    end, and every zero entry one shared Fraction(0).  Any other word enters
+    each t as (t, 1) and scales its columns as it goes, in the ring of the
+    widest value the word reads, so its entries may be ring elements such as
+    LaurentPoly.
     """
     walks = []
     one, exact = Fraction(1), True
     for step in steps:
         if step == ("S",):
-            walks.append(((step,), None, False))
+            walks.append(((("S", 0, None),), None, False))
             continue
         which, assignment, inverted = step
         if not isinstance(assignment, FGAssignment) or assignment.n != n:
             raise IncompleteAssignment(f"need a complete assignment for n={n}")
-        word, keys = _actions(n, which)
+        actions, keys = _actions(n, which)
         values = assignment.values
         # Every entry lives in the ring of the widest value the word reads,
         # in word order: rationals never widen it.
-        for t in map(values.__getitem__, keys[::-1] if inverted else keys):
-            if not isinstance(t, (int, Fraction)):
-                one, exact = one * (t * 0 + 1), False
-        walks.append((word[::-1] if inverted else word, values, inverted))
+        if not all(map(_EXACT.__contains__, map(type, map(values.__getitem__, keys)))):
+            for t in map(values.__getitem__, keys[::-1] if inverted else keys):
+                if not isinstance(t, (int, Fraction)):
+                    one, exact = one * (t * 0 + 1), False
+        walks.append((reversed(actions) if inverted else actions, values, inverted))
     one = 1 if exact else one
     zero, den, e = one * 0, 1, [1] * n
     cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
-    for word, values, inverted in walks:
-        for f in word:
-            if f[0] == "L":
-                k = f[1]
+    for actions, values, inverted in walks:
+        for code, k, v in actions:
+            if code == "L":
                 a, b = e[k - 1], e[k]
                 if a == b:
                     cols[k - 1] = list(map(sub if inverted else add, cols[k - 1], cols[k]))
@@ -541,32 +557,42 @@ def _evaluate(n, steps, scalar=1):
                     a, b = a // g, -b // g if inverted else b // g
                     cols[k - 1] = [a * x + b * y for x, y in zip(cols[k - 1], cols[k])]
                     e[k - 1] = g
-            elif f[0] == "H":
-                k, t = f[1], values[f[2]]
+            elif code == "H":
+                # columns 1..k by q and k+1..n by p, after an inverted swap
+                t = values[v]
                 p, q = t.as_integer_ratio() if exact else (t, 1)
-                low, high = range(k), range(k, n)
                 if inverted:
-                    scalar, den = scalar * p ** (n - k - 1), den * q ** (n - k - 1)
-                    low, high = high, low
-                for js, m in ((high, p), (low, q)):
-                    if m != 1:
-                        for j in js:
-                            if exact:
-                                e[j] *= m
-                            else:
-                                cols[j] = [x * m for x in cols[j]]
-                den *= q
+                    scalar, den, p, q = scalar * p ** (n - k - 1), den * q ** (n - k), q, p
+                else:
+                    den *= q
+                if q != 1:
+                    for j in range(k):
+                        if exact:
+                            e[j] *= q
+                        else:
+                            cols[j] = [x * q for x in cols[j]]
+                if p != 1:
+                    for j in range(k, n):
+                        if exact:
+                            e[j] *= p
+                        else:
+                            cols[j] = [x * p for x in cols[j]]
             else:
-                cols = [[-x for x in c] if j % 2 else c for j, c in enumerate(cols[::-1])]
-                e.reverse()
+                if exact:
+                    cols.reverse()
+                    e.reverse()
+                    for j in range(1, n, 2):
+                        e[j] = -e[j]
+                else:
+                    cols = [[-x for x in c] if j % 2 else c for j, c in enumerate(cols[::-1])]
                 if inverted and n % 2 == 0:
                     scalar = -scalar
     if exact:
-        a, b = scalar.numerator, scalar.denominator * den
+        a, b, zero = scalar.numerator, scalar.denominator * den, Fraction(0)
         for j, s in enumerate(e):
             g = gcd(a * s, b)
             s, d = a * s // g, b // g
-            cols[j] = [Fraction(x * s, d) for x in cols[j]]
+            cols[j] = [Fraction(x * s, d) if x else zero for x in cols[j]]
     elif scalar != 1:
         cols = [[x * scalar for x in c] for c in cols]
     return transpose(cols)

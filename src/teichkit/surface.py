@@ -173,21 +173,29 @@ class TriangulatedSurface:
         return TriangulatedSurface(self.triangles, self.gluings + ((end_a, end_b),))
 
     def with_value(self, tri, vertex, value):
-        """New surface with a single variable replaced.
-
-        Triangles sharing the mutated assignment object are rebuilt together
-        so identified copies stay identified.
+        """New surface with a single variable replaced, in one rebuild of the
+        assignment and of the surface.  Triangles sharing the assignment
+        object share the rebuilt one, so identified copies stay identified.
         """
-        if tri not in self.triangles:
-            raise UnknownTriangle(f"no triangle {tri!r}")
-        old = self.triangles[tri]
-        vertex = tuple(vertex)
-        vals = dict(old.values)
-        if vertex not in vals:
-            raise UnknownSide(f"no variable at {vertex} for n={self.n}")
-        vals[vertex] = value
-        new = FGAssignment(self.n, vals)
-        tris = {t: (new if a is old else a) for t, a in self.triangles.items()}
+        return self._with_values(((tri, vertex, value),))
+
+    def _with_values(self, changes):
+        """New surface with each (tri, vertex, value) of `changes` applied in
+        order, as chained with_value calls would: each touched assignment
+        object is rebuilt once, and the surface once."""
+        touched = {}
+        for tri, vertex, value in changes:
+            if tri not in self.triangles:
+                raise UnknownTriangle(f"no triangle {tri!r}")
+            old = self.triangles[tri]
+            if id(old) not in touched:
+                touched[id(old)] = dict(old.values)
+            vals, vertex = touched[id(old)], tuple(vertex)
+            if vertex not in vals:
+                raise UnknownSide(f"no variable at {vertex} for n={self.n}")
+            vals[vertex] = value
+        new = {key: FGAssignment(self.n, vals) for key, vals in touched.items()}
+        tris = {t: new.get(id(a), a) for t, a in self.triangles.items()}
         return TriangulatedSurface(tris, self.gluings)
 
     def to_json(self):
@@ -333,11 +341,6 @@ def amalgamation_classes(surf):
     gluing.
     """
     n = surf.n
-    amalgamated = {
-        tuple(sorted((a, b)))
-        for end_a, end_b in surf.gluings
-        for _, a, b in _glued_pairs(n, end_a, end_b)
-    }
     free = []
     for tri, side in surf.open_sides():
         for k in range(1, n):
@@ -347,16 +350,25 @@ def amalgamation_classes(surf):
         for v in interior_vertices(n):
             interior.append((tri, v))
     return {
-        "amalgamated": tuple(sorted(amalgamated)),
+        "amalgamated": _amalgamated_pairs(surf),
         "free": tuple(sorted(free)),
         "interior": tuple(sorted(interior)),
     }
 
 
+def _amalgamated_pairs(surf):
+    """The amalgamated pairs of surf's gluings, each pair sorted, in sorted order."""
+    return tuple(sorted({
+        tuple(sorted((a, b)))
+        for end_a, end_b in surf.gluings
+        for _, a, b in _glued_pairs(surf.n, end_a, end_b)
+    }))
+
+
 def amalgamated_products(surf):
     """Value of each amalgamated class: the product over its two members."""
     out = {}
-    for pair in amalgamation_classes(surf)["amalgamated"]:
+    for pair in _amalgamated_pairs(surf):
         (t1, v1), (t2, v2) = pair
         out[pair] = surf.triangles[t1][v1] * surf.triangles[t2][v2]
     return out

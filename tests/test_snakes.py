@@ -194,6 +194,21 @@ class TestSnake:
         with pytest.raises(AttributeError):
             s.tiles = ()
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_segment_clockwise_reads_only_real_segments(self, n):
+        # segments are 0..n-2; a negative index is not read from the end
+        s = boundary_snake_12(n)
+        assert [s.segment_clockwise(i) for i in range(n - 1)] == [True] * (n - 1)
+        for i in (-1, -(n - 1), -n, n - 1, n):
+            with pytest.raises(IndexError):
+                s.segment_clockwise(i)
+
+    def test_segment_clockwise_follows_the_segment_axes(self):
+        # (2,0,0) -> (1,0,1) goes from axis 0 to axis 2, (1,0,1) -> (0,1,1)
+        # from axis 0 to axis 1
+        s = Snake([(2, 0, 0), (1, 0, 1), (0, 1, 1)])
+        assert [s.segment_clockwise(i) for i in range(2)] == [False, True]
+
 
 class TestMoves:
     def test_move_one_flips_last(self):
@@ -670,6 +685,70 @@ class TestColumnEvaluation:
                 out.append(repr(path_matrix(surf, word)))
         digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
         assert digest == NON_RATIONAL_DIGEST
+
+
+def int_assignment(n, seed):
+    rng = random.Random(seed)
+    return FGAssignment(n, {k: rng.randint(1, 9) for k in side_vertices(n) + interior_vertices(n)})
+
+
+def dense_steps(n, steps, scalar):
+    """Reference for _evaluate: scalar times the dense product of S, dense
+    transports and their cofactor adjugates."""
+    factors = []
+    for step in steps:
+        if step == ("S",):
+            factors.append(elem_s(n))
+        else:
+            which, z, inverted = step
+            m = dense_transport(n, which, z)
+            factors.append(adjugate(m) if inverted else m)
+    return tuple(tuple(scalar * x for x in row) for row in mat_prod(factors, n))
+
+
+STEP_KINDS = {
+    "exact": lambda n: random_assignment(n, 1200 + n),
+    "int": lambda n: int_assignment(n, 1300 + n),
+    "ones": lambda n: FGAssignment.constant(n, 1),
+    "float": lambda n: float_assignment(n, 1400 + n),
+    "laurent": lambda n: laurent_assignment(n, 1500 + n),
+    "mixed": lambda n: mixed_assignment(n, 1600 + n),
+}
+# step lists over an assignment A and its rotation B, with the scalar: "S"
+# is the side change, (which, name, inverted) a transport or its adjugate
+STEP_LISTS = {
+    "S S": (["S", "S"], 1),
+    "T T": ([(1, "A", False), (1, "A", False)], -1),
+    "S T S": (["S", (2, "B", False), "S"], 1),
+    "T' S S T": ([(3, "A", True), "S", "S", (1, "B", False)], -1),
+    "S T' T' S T": (["S", (1, "A", True), (2, "B", True), "S", (3, "A", False)], -1),
+    "T' T' T'": ([(2, "B", True), (3, "A", True), (1, "A", True)], 1),
+}
+
+
+class TestStepLists:
+    """_evaluate on step lists that need not alternate, against dense products.
+
+    Exact results match in value and entry type; float and mixed results lie
+    within 1e-12 of the largest entry.  All-ones words keep every column
+    scale at +-1, so a lost sign of S shows there first."""
+
+    @pytest.mark.parametrize("case", sorted(STEP_LISTS))
+    @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_dense_product(self, n, kind, case):
+        a = STEP_KINDS[kind](n)
+        names = {"A": a, "B": a.rotated()}
+        raw, scalar = STEP_LISTS[case]
+        steps = [("S",) if s == "S" else (s[0], names[s[1]], s[2]) for s in raw]
+        got, want = snakes._evaluate(n, steps, scalar), dense_steps(n, steps, scalar)
+        if kind in ("float", "mixed"):
+            scale = max(abs(x) for row in want for x in row)
+            assert all(
+                abs(x - y) <= 1e-12 * scale for ra, rb in zip(got, want) for x, y in zip(ra, rb)
+            )
+        else:
+            assert same_entries(got, want)
 
 
 def generator_assignment(n):

@@ -179,6 +179,43 @@ def test_amalgamated_class_rescale_is_inert(data):
             assert proj_eq(after, before)
 
 
+def _changes(surf, rng):
+    """Change lists for one worked surface: each amalgamated pair rescaled by t
+    and 1/t, one variable set twice, and one change on every triangle."""
+    out = []
+    for (t1, v1), (t2, v2) in amalgamation_classes(surf)["amalgamated"]:
+        t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        out.append([(t1, v1, surf.triangles[t1][v1] * t), (t2, v2, surf.triangles[t2][v2] / t)])
+    v = side_vertex(surf.n, "31", 1)
+    tri = sorted(surf.triangles)[0]
+    out.append([(tri, v, Fraction(2)), (tri, list(v), Fraction(3))])
+    out.append([(t, side_vertex(surf.n, "12", 1), Fraction(5 + i)) for i, t in enumerate(surf.triangles)])
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", sorted(WORKED))
+def test_one_rebuild_equals_chained_with_value(kind, n):
+    """Several changes at once give the surface that chained with_value calls
+    give: the same values and gluings, and the same assignment objects shared
+    between triangles and kept from the original."""
+    build, names = WORKED[kind]
+    rng = random.Random(40 + n)
+    surf, _ = build(n, {name: rand_assignment(n, rng) for name in names})
+    tris = sorted(surf.triangles)
+    for changes in _changes(surf, rng):
+        chained = surf
+        for tri, v, value in changes:
+            chained = chained.with_value(tri, v, value)
+        got = surf._with_values(changes)
+        assert got == chained and got.gluings == chained.gluings
+        for a in tris:
+            assert (got.triangles[a] is surf.triangles[a]) == (chained.triangles[a] is surf.triangles[a])
+            for b in tris:
+                shared = chained.triangles[a] is chained.triangles[b]
+                assert (got.triangles[a] is got.triangles[b]) == shared
+
+
 def _side_position(v):
     """The side a non-corner side vertex lies on, and its position k along it."""
     a, b, c = v

@@ -2,14 +2,15 @@
 pipeline; writes BENCH_*.json.
 
     python3 bench_24.py --parent PARENT --change CHANGE --about TEXT --claim TEXT \
-        --out BENCH_29.json
+        --out BENCH_NN.json
     python3 bench_24.py --parent PARENT --change CHANGE --about TEXT --claim TEXT \
         --pairs 2 --seconds 2 --nmax 8 --out q.json
     PYTHONPATH=src python3 bench_24.py --sweep-side --nmax 6 --repeats 1
+    PYTHONPATH=src python3 bench_24.py --breakdown-side --repeats 1
 
-The last form runs both sweeps below in the current checkout alone and
-prints them as JSON; it fails when a check in them fails, the operand probe
-included.
+The last two forms run, in the current checkout alone, both sweeps below or
+the breakdown, and print them as JSON; the sweeps fail when a check in them
+fails, the operand probe included.
 
 PARENT and CHANGE are two checkouts of the repository, each with its own
 src/ and perfbench/.  Both are byte-compiled first.  Every measurement runs
@@ -29,9 +30,8 @@ from its own checkout:
   largest bit length of a running column entry (an int, or a Fraction's
   larger part), of the running denominator `den` and of the lazy column
   scales `e`, read from _evaluate's locals each time its factor changes:
-  the loop locals (code, k, v), or the local `f` of the string-tagged loop
-  that a parent checkout may run (an equal adjacent factor, as in S S, is
-  read once).  Every sweep word is exact, so a probe that reads no column
+  the loop locals (code, k, v); an equal adjacent factor, as in S S, is
+  read once.  Every sweep word is exact, so a probe that reads no column
   bits or no scale bits fails the sweep: the evaluator's loop has changed
   under it.  Then linalg.mat_prod
   of the four boundary loop matrices of surface.four_holed_sphere_fg on four
@@ -47,11 +47,11 @@ from its own checkout:
   triple ratio must equal z's value at its vertex, or the sweep fails;
 - breakdown: timeit minima, in seconds, of one in-process
   `teichkit verify transport --n 3 --trials 1 --seed 5` op (stdout to a
-  buffer), of its parse (cli.main with the verify command replaced by a
-  no-op), of cli._rand_assignment at n = 3, of the three-transport
-  snakes._evaluate at n = 3, and of one FGAssignment construction from a
-  ready dict of Fractions at n = 3, 7 and 32; --breakdown-runs side
-  processes per side, parent and change alternating.
+  buffer), of its parse (parse_known_args of the verify subparser of a
+  parser from cli.build_parser), of cli._rand_assignment at n = 3, of the
+  three-transport snakes._evaluate at n = 3, and of one FGAssignment
+  construction from a ready dict of Fractions at n = 3, 7 and 32;
+  --breakdown-runs side processes per side, parent and change alternating.
 """
 
 import argparse
@@ -169,8 +169,7 @@ def sweep_side(nmax, repeats):
             if event != "line":
                 return local
             loc = frame.f_locals
-            # the compiled loop's (code, k, v), or the string-tagged loop's f
-            factor = loc.get("f") or tuple(map(loc.get, ("code", "k", "v")))
+            factor = tuple(map(loc.get, ("code", "k", "v")))
             if "cols" not in loc or not any(factor) or factor == seen["factor"]:
                 return local
             seen["factor"] = factor
@@ -277,10 +276,8 @@ def breakdown_side(repeats):
         sink.truncate()
 
     out = {"op": best(op, 2000)}
-    # the parser binds the command when it is built: build one on a no-op
-    verify, cli._cmd_verify, cli._parser = cli._cmd_verify, lambda args: 0, None
-    out["parse"] = best(lambda: cli.main(argv), 2000)
-    cli._cmd_verify, cli._parser = verify, None
+    verify = cli.build_parser()._commands["verify"]
+    out["parse"] = best(lambda: verify.parse_known_args(argv[1:]), 2000)
     rng = random.Random(5)
     out["rand_assignment"] = best(lambda: cli._rand_assignment(rng, 3), 2000)
     z = cli._rand_assignment(rng, 3)
@@ -320,7 +317,7 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--parent")
     p.add_argument("--change")
-    p.add_argument("--out", default="BENCH_29.json")
+    p.add_argument("--out", help="the record's file, such as BENCH_NN.json")
     p.add_argument("--about", help="what the change does, for the record")
     p.add_argument("--claim", help="the metric the change claims to improve, or that none is")
     p.add_argument("--workloads", default=",".join(WORKLOADS))
@@ -339,8 +336,8 @@ def main(argv=None):
     if args.breakdown_side:
         print(json.dumps(breakdown_side(max(args.repeats, 5))))
         return 0
-    if not (args.parent and args.change and args.about and args.claim):
-        p.error("a record needs --parent, --change, --about and --claim")
+    if not (args.parent and args.change and args.about and args.claim and args.out):
+        p.error("a record needs --parent, --change, --about, --claim and --out")
     compile_sides(args)
     doc = {
         "about": args.about + " Parent and change each run from their own checkout; "

@@ -9,9 +9,11 @@ Exit codes: 0 success, 1 a verification trial failed, 2 malformed input
 var TEICHKIT_SCALAR picks the default scalar mode for --scalar flags.
 
 The argument parser is built once per process, on the first call of `main`,
-and reused: building it costs over ten times what parsing one command
-line does, and parsing leaves it unchanged, filling a fresh namespace from
-its defaults on every call.  `build_parser` still returns a new one.  When
+and kept by the private `functools.cache`d `_parser`: building it costs
+over ten times what parsing one command line does, and parsing leaves it
+unchanged, filling a fresh namespace from its defaults on every call.
+`build_parser` still returns a new one.  The lambda suite's symbolic table
+is likewise built on its first use and kept by `_setup_lambda`.  When
 the first argument names a subcommand, `main` parses the rest with that
 subcommand's parser alone: one pass, where the full parser makes two.  Any
 other command line (none, -h, an unknown command, or one that leaves
@@ -25,6 +27,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -181,28 +184,23 @@ def _check_skein(rng, n, g):
     return (a * b).trace() + (a * g.holonomy(wb.inverse())).trace() == a.trace() * b.trace()
 
 
-_LAMBDA = None
-
-
-def _setup_lambda(rng, n):
+@cache
+def _setup_lambda():
     """The symbolic lambda-length table and its verdict, built once per process."""
-    global _LAMBDA
-    if _LAMBDA is None:
-        ring = LaurentRing("s1", "s2", "s3", "q1", "q2", "c1", "c2")
-        s1, s2, s3, q1, q2, c1, c2 = ring.gens()
-        g, arcs, _ = confluence.cusped_three_holed((s1, s2, s3), (q1, q2), (c1, c2))
-        lam = confluence.lambda_lengths(g, arcs)
-        expected = {
-            "a": c2 ** 2 * q1 ** 2 * q2 * s1 ** 4 * s2 ** 2 * s3 ** 2,
-            "b": c2 ** 2 * q1 * s1 ** 2 * s3 ** 2,
-            "c": c2 ** 2 * q1 * q2 * s1 ** 2 * s2 ** 2 * s3 ** 2,
-            "d": c1 * c2 * q1 * q2 * s1 ** 2 * s2 ** 2 * s3 ** 2,
-            "e": c1 * c2,
-        }
-        table = dict(lam, q1=q1, q2=q2)
-        rows = {name: mono.monomial_parts()[1] for name, mono in table.items()}
-        _LAMBDA = (ring.names, table, rows), (("lambda monomial table matches", lam == expected),)
-    return _LAMBDA
+    ring = LaurentRing("s1", "s2", "s3", "q1", "q2", "c1", "c2")
+    s1, s2, s3, q1, q2, c1, c2 = ring.gens()
+    g, arcs, _ = confluence.cusped_three_holed((s1, s2, s3), (q1, q2), (c1, c2))
+    lam = confluence.lambda_lengths(g, arcs)
+    expected = {
+        "a": c2 ** 2 * q1 ** 2 * q2 * s1 ** 4 * s2 ** 2 * s3 ** 2,
+        "b": c2 ** 2 * q1 * s1 ** 2 * s3 ** 2,
+        "c": c2 ** 2 * q1 * q2 * s1 ** 2 * s2 ** 2 * s3 ** 2,
+        "d": c1 * c2 * q1 * q2 * s1 ** 2 * s2 ** 2 * s3 ** 2,
+        "e": c1 * c2,
+    }
+    table = dict(lam, q1=q1, q2=q2)
+    rows = {name: mono.monomial_parts()[1] for name, mono in table.items()}
+    return (ring.names, table, rows), (("lambda monomial table matches", lam == expected),)
 
 
 def _check_lambda(rng, n, shared):
@@ -225,7 +223,7 @@ SUITES = {
     "transport": _Suite(10, "T1 T2 T3 scalar at n={n}", _check_transport),
     "amalgamation": _Suite(10, "class rescales inert, pinning moves", _check_amalgamation),
     "skein": _Suite(20, "Tr(AB) + Tr(AB^-1) == Tr(A) Tr(B)", _check_skein, _setup_skein),
-    "lambda": _Suite(10, "invert_monomials round trip", _check_lambda, _setup_lambda),
+    "lambda": _Suite(10, "invert_monomials round trip", _check_lambda, lambda rng, n: _setup_lambda()),
 }
 
 
@@ -301,18 +299,18 @@ def build_parser():
     return p
 
 
-_parser = None
+@cache
+def _parser():
+    return build_parser()
 
 
 def main(argv=None):
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = _parser._commands.get(argv[0]) if argv else None
+    command = parser._commands.get(argv[0]) if argv else None
     args, rest = command.parse_known_args(argv[1:]) if command else (None, None)
     if command is None or rest:
-        args = _parser.parse_args(argv)
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

@@ -12,6 +12,7 @@ extraction, and the one substitution used is monomial.
 
 import math
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from . import linalg
@@ -131,24 +132,24 @@ class LimitCoords(NamedTuple):
     g4: object
 
 
-_LIMIT = None
-
-
 def limit_coordinates():
     """Finite parts of the chewed trace coordinates, rescaled per RESCALINGS.
 
-    Built once per process, on the first call, and shared: every later call
-    returns that same LimitCoords.  A LaurentPoly keeps its terms in a plain
-    dict, so the shared coordinates must not be mutated: an edit such as
+    Built once per process, on the first call, and shared: the private
+    ``functools.cache``d ``_limit`` keeps it, and every later call returns
+    that same LimitCoords.  A LaurentPoly keeps its terms in a plain dict,
+    so the shared coordinates must not be mutated: an edit such as
     ``limit_coordinates().x1.terms.clear()`` changes every later call.
     """
-    global _LIMIT
-    if _LIMIT is None:
-        coords = symbolic_coordinates()
-        _LIMIT = LimitCoords(
-            *(leading_limit(chew_substitute(c), r) for c, r in zip(coords, RESCALINGS))
-        )
-    return _LIMIT
+    return _limit()
+
+
+@cache
+def _limit():
+    coords = symbolic_coordinates()
+    return LimitCoords(
+        *(leading_limit(chew_substitute(c), r) for c, r in zip(coords, RESCALINGS))
+    )
 
 
 def limiting_relation_value(c):

@@ -39,6 +39,7 @@ entry by every H.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd, isfinite, lcm
 from operator import add, sub
@@ -361,7 +362,8 @@ class FGAssignment:
     manipulation (symbolics and complex numbers are only checked to be
     nonzero).  A vertex coordinate that is not an int (a bool included) is a
     TypeError, which ``from_json`` reports as a SchemaError, as it does a
-    vertex listed twice.
+    vertex listed twice and a rank that is not an int by exact type (JSON
+    ``true`` and ``3.0`` included).
     """
 
     n: int
@@ -425,8 +427,8 @@ class FGAssignment:
                     raise SchemaError(f"vertex {key} is listed twice")
                 vals[key] = scalar_from_json(e["value"], mode)
             n = doc["n"]
-            if not isinstance(n, (int, float)):
-                raise SchemaError(f"rank must be a JSON number, got {type(n).__name__}")
+            if type(n) is not int:
+                raise SchemaError(f"rank must be a JSON integer, got {type(n).__name__}")
             return cls(n, vals)
 
 
@@ -467,32 +469,24 @@ def _check_value(key, v):
 # The keys of an FGAssignment of rank n, kept per rank from their first use:
 # (the side vertices then the interior ones, as a tuple; the same as a
 # frozenset).  Callers check the rank first.
-_VERTICES = {}
-
-
+@cache
 def _vertices(n):
-    got = _VERTICES.get(n)
-    if got is None:
-        keys = tuple(side_vertices(n) + interior_vertices(n))
-        got = _VERTICES[n] = keys, frozenset(keys)
-    return got
+    keys = tuple(side_vertices(n) + interior_vertices(n))
+    return keys, frozenset(keys)
 
 
 # The column actions of transport_word(n, which), kept per (n, which) from
 # its first use: (the word compiled to actions (code, k, vertex), and the
 # vertices its H actions read, in word order).  An inverted step walks the
 # same tuple backwards.
-_ACTIONS = {}
-_EXACT = frozenset((int, Fraction))
-
-
+@cache
 def _actions(n, which):
-    got = _ACTIONS.get((n, which))
-    if got is None:
-        word = transport_word(n, which)
-        acts = tuple((*f, 0, None)[:3] for f in word)
-        got = _ACTIONS[n, which] = acts, tuple(f[2] for f in word if f[0] == "H")
-    return got
+    word = transport_word(n, which)
+    acts = tuple((*f, 0, None)[:3] for f in word)
+    return acts, tuple(f[2] for f in word if f[0] == "H")
+
+
+_EXACT = frozenset((int, Fraction))
 
 
 def _evaluate(n, steps, scalar=1):
@@ -500,7 +494,7 @@ def _evaluate(n, steps, scalar=1):
 
     A step is ("S",), the side change, or (which, assignment, inverted): T_which,
     or adj(T_which) when inverted.  The steps multiply left to right.  Each
-    transport's factors, compiled per (n, which) in _ACTIONS to actions
+    transport's factors, compiled once per (n, which) by _actions to actions
     (code, k, vertex), act on a running matrix from the right as column
     actions: L_k adds column k+1 into column k, H_k(t) scales columns k+1..n
     by t, S reverses the columns with signs (-1)^j (0-indexed j).

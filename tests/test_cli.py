@@ -173,7 +173,7 @@ def test_verify_lambda_builds_its_table_once(capsys, monkeypatch):
 
     real = confluence.cusped_three_holed
     monkeypatch.setattr(confluence, "cusped_three_holed", counting_cusped_three_holed)
-    monkeypatch.setattr(cli, "_LAMBDA", None)
+    cli._setup_lambda.cache_clear()
     assert cli.main(["verify", "lambda", "--trials", "3"]) == 0
     first = capsys.readouterr().out
     assert cli.main(["verify", "lambda", "--trials", "3"]) == 0
@@ -191,7 +191,7 @@ def test_main_builds_one_parser(pants_files, capsys, monkeypatch):
 
     real_build_parser = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-    monkeypatch.setattr(cli, "_parser", None)
+    cli._parser.cache_clear()
     gp, wp = pants_files
     assert cli.main(["verify", "fricke", "--trials", "1"]) == 0
     assert cli.main(["holonomy", str(gp), str(wp)]) == 0

@@ -89,7 +89,7 @@ def test_kept_limit_is_the_derivation():
 
 def test_the_limit_is_not_built_at_import():
     src = Path(confluence.__file__).resolve().parents[1]
-    code = "import teichkit.cli, teichkit.confluence as c; print(c._LIMIT is None)"
+    code = "import teichkit.cli, teichkit.confluence as c; print(c._limit.cache_info().currsize == 0)"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "True"

@@ -137,7 +137,8 @@ def test_domain_errors_pass_through():
 @pytest.mark.parametrize("n", [10**9, 1e300, MAX_RANK + 1])
 def test_huge_rank_is_refused_up_front(n):
     doc = {"schema": SCHEMA, "kind": "fg_assignment", "n": n, "values": []}
-    with pytest.raises(RankOutOfRange):
+    # a JSON rank that is not an integer is malformed before it is too large
+    with pytest.raises(RankOutOfRange if type(n) is int else SchemaError):
         FGAssignment.from_json(doc)
     with pytest.raises(RankOutOfRange):
         FGAssignment(n, {})
@@ -193,6 +194,15 @@ def test_numbers_are_not_coerced(case, value):
 def test_rank_must_be_an_int(n):
     with pytest.raises(RankOutOfRange):
         FGAssignment(n, {})
+
+
+@pytest.mark.parametrize("n", [True, False, 3.0], ids=repr)
+def test_json_rank_must_be_an_int(n):
+    doc = {"schema": SCHEMA, "kind": "fg_assignment", "n": n, "values": RANK2_VALUES}
+    surface = {"schema": SCHEMA, "kind": "surface", "triangles": {"t": doc}, "gluings": []}
+    for decode, d in ((FGAssignment.from_json, doc), (TriangulatedSurface.from_json, surface)):
+        with pytest.raises(SchemaError, match="rank must be a JSON integer"):
+            decode(d)
 
 
 @pytest.mark.parametrize("n", [2.5, 2.0, "2", True], ids=repr)

@@ -4,11 +4,13 @@ Each value class is frozen: assigning to any of its fields, derived ones
 included, raises AttributeError; two constructions from the same input
 compare equal and a different input compares unequal; hashability is part of
 each class's contract (a flag, a snake and a path word are hashable, the
-dict-holding classes are not).  Four source guards ride along: no class
+dict-holding classes are not).  Five source guards ride along: no class
 overrides __setattr__, no module keeps an import it does not use, every
-module-level private name is read somewhere in the package, and the n!
+module-level private name is read somewhere in the package, the n!
 cofactor routines linalg.det and linalg.adjugate stay test references that
-no other module uses.
+no other module uses, and a table kept for the life of the process is a
+``functools.cache``d function, not a global filled in by hand: no function
+declares ``global``, and no module-level name is bound to None or {}.
 """
 
 import ast
@@ -133,6 +135,23 @@ def test_every_private_name_is_read():
                 if d.startswith("_") and not d.startswith("__") and d not in read
             ]
     assert not dead, f"private names nothing reads: {dead}"
+
+
+def test_process_tables_are_cached_functions():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        offenders += [
+            f"{path.name}:{node.lineno} global {', '.join(node.names)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Global)
+        ]
+        for node in tree.body:
+            value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+            empty = isinstance(value, ast.Dict) and not value.keys
+            if empty or isinstance(value, ast.Constant) and value.value is None:
+                offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not offenders, f"keep a process table with @functools.cache: {offenders}"
 
 
 def test_cofactor_routines_serve_tests_only():

@@ -13,10 +13,11 @@ transversality and genericity are decided over the integers, on rows with
 cleared denominators, by linalg's fraction-free row step, which divides each
 row it changes by its content.  Fractions appear only in results:
 canonical_vector lines, row_space planes and the returned ratios.  Each
-integer form is made once, where its rows are made: ``line_config`` clears
-F3's rows for its elimination, and a ``LineConfig`` clears each of its lines
-at construction to the integer generator that ``triple_ratio`` and
-``snakes.snake_basis`` read.
+integer form is made once, where its rows are made: a ``Flag`` clears its
+rows at construction, and every elimination of flag rows (genericity, the
+splitting, ``line_config``'s lines and planes) reads those integer rows; a
+``LineConfig`` clears each of its lines at construction to the integer
+generator that ``triple_ratio`` and ``snakes.snake_basis`` read.
 """
 
 import math
@@ -37,15 +38,13 @@ from .errors import DomainError, SchemaError
 from .halfplane import INFINITY, cross_ratio as boundary_cross_ratio
 from .linalg import (
     LinAlgError,
+    _canonical,
     _echelon,
     _eliminate,
     _fractions,
     _integer_row,
-    canonical_vector,
-    identity,
+    _span,
     mat,
-    rank,
-    row_space,
     rref,
 )
 
@@ -83,20 +82,31 @@ class Flag:
     """Complete flag: F_i is the span of the first i rows of ``rows``.
 
     The matrix must be square and invertible; this is checked exactly at
-    construction, by rank.  Rows are stored as Fractions.  Flags are
-    immutable and compare by their row matrix.
+    construction, by rank.  Rows are stored as Fractions; an entry that is
+    not a finite number (a float nan or inf) is a DimensionMismatch.  Flags
+    are immutable and compare by their row matrix.
+
+    Each row's integer form (the row times the lcm of its denominators) is
+    derived once, at construction, and every elimination of the flag's rows
+    reads it in place of ``rows``.
     """
 
     rows: tuple
+    _integer_rows: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
-        rows = [_fractions(r) for r in self.rows]
+        try:
+            rows = [_fractions(r) for r in self.rows]
+        except (ValueError, OverflowError):
+            raise DimensionMismatch("a flag entry is not a finite number") from None
         if not rows or any(len(r) != len(rows) for r in rows):
             raise DimensionMismatch("flag matrix must be square and nonempty")
         m = mat(rows)
-        if rank(m) != len(m):
+        integer_rows = tuple(tuple(_integer_row(r)) for r in m)
+        if len(_echelon(integer_rows)[1]) != len(m):
             raise SingularFlag("flag matrix is singular")
         object.__setattr__(self, "rows", m)
+        object.__setattr__(self, "_integer_rows", integer_rows)
 
     @property
     def n(self):
@@ -106,7 +116,7 @@ class Flag:
         """Canonical echelon basis of F_i; i = 0 gives the zero space ()."""
         if not 0 <= i <= self.n:
             raise DimensionMismatch(f"subspace index {i} out of range 0..{self.n}")
-        return row_space(self.rows[:i])
+        return _span(self._integer_rows[:i])
 
     def __repr__(self):
         return f"Flag({[list(r) for r in self.rows]})"
@@ -175,13 +185,14 @@ def _splitting(f1, f2, rows):
     lower triangular, then, adding only later coordinates into earlier ones,
     until f2's j-th row lives on the last j coordinates.  Basis vector i then
     spans L_i = F1_i ∩ F2_{n-i+1}; each is known up to a nonzero factor.
-    Returns ``rows`` in these coordinates.  Raises NotTransverse when one of
-    f2's pivots vanishes, i.e. when F1_{n-j} ∩ F2_j is not zero.
+    ``rows`` are integer rows, and are returned in these coordinates.
+    Raises NotTransverse when one of f2's pivots vanishes, i.e. when
+    F1_{n-j} ∩ F2_j is not zero.
     """
     if f1.n != f2.n:
         raise DimensionMismatch("flags live in different dimensions")
     n = f1.n
-    cols = _echelon(zip(*f1.rows, *f2.rows, *rows))[0]
+    cols = _echelon(zip(*f1._integer_rows, *f2._integer_rows, *rows))[0]
     for j in range(n):
         p = n - 1 - j
         if not cols[p][n + j]:
@@ -245,7 +256,7 @@ def general_position(f1, f2, f3):
     if not (f1.n == f2.n == f3.n):
         raise DimensionMismatch("flags live in different dimensions")
     try:
-        _block_rows(_splitting(f1, f2, f3.rows))
+        _block_rows(_splitting(f1, f2, f3._integer_rows))
     except (NotTransverse, LinAlgError):
         return False
     return True
@@ -255,12 +266,14 @@ def two_flag_splitting(f, g):
     """Decompose R^n into lines L_1 .. L_n adapted to a transverse flag pair.
 
     L_i = F_i ∩ G_{n-i+1}; then F_i = L_1 + ... + L_i and
-    G_i = L_n + ... + L_{n-i+1}.  Returns canonical generators, read off
-    rref([E | I]) = [I | E^-1], E the identity in the splitting coordinates.
+    G_i = L_n + ... + L_{n-i+1}.  Returns canonical generators, read off a
+    reduced integer echelon form of [E | I], whose rows are multiples of
+    those of [I | E^-1], E the identity in the splitting coordinates.
     """
-    e = identity(f.n)
-    m, _ = rref([list(r) + list(x) for r, x in zip(_splitting(f, g, e), e)])
-    return tuple(canonical_vector(r[f.n :]) for r in m)
+    n = f.n
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    m = _echelon([[*r, *x] for r, x in zip(_splitting(f, g, e), e)], reduced=True)[0]
+    return tuple(_canonical(r[n:]) for r in m)
 
 
 def projective_basis_vectors(lines, weights):
@@ -421,13 +434,13 @@ def line_config(f1, f2, f3):
     if not general_position(f1, f2, f3):
         raise NotGeneric("flags are not in general position")
     n = f1.n
-    f3_rows = [_integer_row(r) for r in f3.rows]
+    f3_rows = f3._integer_rows
     m = _splitting(f1, f2, f3_rows)
-    blocks = _block_rows([list(r) + f for r, f in zip(m, f3_rows)])
-    lines = {t: canonical_vector(blocks[t[:2]][0][n:]) for t in upward_tiles(n)}
+    blocks = _block_rows([r + f for r, f in zip(m, f3_rows)])
+    lines = {t: _canonical(blocks[t[:2]][0][n:]) for t in upward_tiles(n)}
     planes = {}
     if n >= 3:
-        planes = {t: row_space([r[n:] for r in blocks[t[:2]]]) for t in downward_tiles(n)}
+        planes = {t: _span([r[n:] for r in blocks[t[:2]]]) for t in downward_tiles(n)}
     return LineConfig(n, lines, planes)
 
 
@@ -495,7 +508,7 @@ def pencil_cross_ratio(l1, l2, l3, l4):
     gens = [_fractions(v) for v in (l1, l2, l3, l4)]
     if not all(any(g) for g in gens):
         raise DegenerateConfiguration("a zero vector spans no line")
-    pivots = _echelon(gens)[1]
+    pivots = _echelon([_integer_row(g) for g in gens])[1]
     if len(pivots) > 2:
         raise NotCoplanar("lines do not lie in a common plane")
     if len(pivots) < 2:

@@ -3,10 +3,12 @@
 Matrices are tuples of row tuples.  The division-free operations (product,
 determinant by cofactor expansion, adjugate, projective equality) work over
 any commutative ring element type: Fraction, float, complex, or LaurentPoly.
-Rank, solving and subspace work need a field, but they clear each row's
-denominators and eliminate over the integers by one row step, ``_eliminate``,
-which divides each row it changes by its content; Fractions appear only in
-their results.
+Rank, solving and subspace work need a field, but each public routine
+clears its input rows' denominators once, where they come in, and
+``_echelon`` then eliminates integer rows by one row step, ``_eliminate``,
+which divides each row it changes by its content; callers that already hold
+integer rows (flags) pass them straight in.  Fractions appear only in
+results.
 
 Products cost O(n^3) and projective equality O(n^2).  A product whose
 entries are all ints and Fractions clears each row of its left factor and
@@ -232,10 +234,10 @@ def _eliminate(vecs, p, k, targets):
 
 
 def _echelon(rows, reduced=False):
-    """(integer echelon rows divided by their content, pivot columns) of rows:
-    ``_eliminate`` clears below each pivot, and above it too when ``reduced``.
-    Rows of different lengths raise LinAlgError."""
-    m = [_primitive(_integer_row(r)) for r in rows]
+    """(echelon rows divided by their content, pivot columns) of the integer
+    rows: ``_eliminate`` clears below each pivot, and above it too when
+    ``reduced``.  Rows of different lengths raise LinAlgError."""
+    m = [_primitive(r) for r in rows]
     if any(len(r) != len(m[0]) for r in m):
         raise LinAlgError("ragged rows")
     pivots = []
@@ -255,13 +257,20 @@ def _echelon(rows, reduced=False):
 
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot column list)."""
-    m, pivots = _echelon(rows, reduced=True)
+    m, pivots = _echelon([_integer_row(r) for r in rows], reduced=True)
     scales = [row[c] for row, c in zip(m, pivots)] + [1] * (len(m) - len(pivots))
     return [[Fraction(x, d) for x in row] for row, d in zip(m, scales)], pivots
 
 
 def rank(rows):
-    return len(_echelon(rows)[1])
+    return len(_echelon([_integer_row(r) for r in rows])[1])
+
+
+def _span(rows):
+    """``row_space`` of integer rows: their reduced echelon rows, each
+    divided by its pivot."""
+    m, pivots = _echelon(rows, reduced=True)
+    return tuple(tuple(Fraction(x, row[c]) for x in row) for row, c in zip(m, pivots))
 
 
 def row_space(rows):
@@ -269,8 +278,7 @@ def row_space(rows):
 
     Two row sets span the same subspace iff their canonical forms are equal.
     """
-    m, pivots = rref(rows)
-    return tuple(tuple(m[i]) for i in range(len(pivots)))
+    return _span([_integer_row(r) for r in rows])
 
 
 def nullspace(rows):
@@ -309,18 +317,22 @@ def intersect_row_spaces(a_rows, b_rows):
     """Canonical basis of rowspace(A) ∩ rowspace(B), by Zassenhaus' algorithm:
     the rows of an echelon form of [[A, A], [B, 0]] that vanish on the left
     half span the intersection on the right half."""
-    a, b = [list(r) for r in a_rows], [list(r) for r in b_rows]
+    a, b = [_integer_row(r) for r in a_rows], [_integer_row(r) for r in b_rows]
     if not a or not b:
         return ()
     n = len(a[0])
     m, pivots = _echelon([r + r for r in a] + [r + [0] * n for r in b])
-    return row_space([row[n:] for row, c in zip(m, pivots) if c >= n])
+    return _span([row[n:] for row, c in zip(m, pivots) if c >= n])
 
 
-def canonical_vector(v):
-    """Scale so the first nonzero coordinate is 1; canonical line representative."""
-    v = _integer_row(v)
+def _canonical(v):
+    """``canonical_vector`` of an integer vector."""
     lead = next((x for x in v if x), None)
     if lead is None:
         raise LinAlgError("zero vector has no canonical form")
     return tuple(Fraction(x, lead) for x in v)
+
+
+def canonical_vector(v):
+    """Scale so the first nonzero coordinate is 1; canonical line representative."""
+    return _canonical(_integer_row(v))

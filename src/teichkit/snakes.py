@@ -189,16 +189,37 @@ class Snake:
 
 
 def boundary_snake_12(n):
-    """The side-12 snake: corner 1 to corner 2 along c = 0."""
-    return Snake([(n - 1 - t, t, 0) for t in range(n)])
+    """The side-12 snake: corner 1 to corner 2 along c = 0.
+
+    The boundary snakes of each rank are made once and shared.  A rank n that
+    is not an int (a bool included) is a TypeError, as a tile coordinate is.
+    """
+    return _boundary_snake(_int_rank(n), 0)
 
 
 def boundary_snake_23(n):
-    return Snake([(0, n - 1 - t, t) for t in range(n)])
+    return _boundary_snake(_int_rank(n), 1)
 
 
 def boundary_snake_31(n):
-    return Snake([(t, 0, n - 1 - t) for t in range(n)])
+    return _boundary_snake(_int_rank(n), 2)
+
+
+def _int_rank(n):
+    """n itself.  A rank that is not an int is refused here, before it keys
+    the cache, where True and 2.0 would find the entries of 1 and 2."""
+    if type(n) is not int:
+        raise TypeError(f"rank must be an int, got {type(n).__name__}")
+    return n
+
+
+# The boundary snake of side 12, 23 or 31 (side 0, 1 or 2: the side-12 tiles
+# with their coordinates rotated side times) of rank n, kept per (n, side)
+# from its first use.  A Snake is frozen, so every caller may share it.
+@cache
+def _boundary_snake(n, side):
+    tiles = [(n - 1 - t, t, 0) for t in range(n)]
+    return Snake([tile[3 - side :] + tile[: 3 - side] for tile in tiles])
 
 
 def _flip(tiles, idx):

@@ -21,6 +21,7 @@ from teichkit.flags import (
     NotProjectiveBasis,
     NotTransverse,
     SingularFlag,
+    _splitting,
     downward_tiles,
     general_position,
     interior_vertices,
@@ -93,6 +94,11 @@ class TestFlagType:
             assert len(f.subspace(i)) == i
         with pytest.raises(DimensionMismatch):
             f.subspace(4)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=repr)
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(DimensionMismatch, match="a flag entry is not a finite number"):
+            Flag([[bad, 0], [0, 1]])
 
     def test_json_round_trip(self):
         f = Flag([(1, Q(1, 2), 3), (0, 1, Q(-2, 7)), (0, 0, 1)])
@@ -369,6 +375,30 @@ class TestTripleRatioDefinition:
                     triple_ratio(config, vertex)
             outcomes.append(defined)
         assert 10 <= sum(outcomes) <= len(outcomes) - 10
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_ratio_of_splitting_minors(self, n):
+        # with M the rows of F3 in the splitting basis of (F1, F2) and m(a, b)
+        # = det M[:a+b, C], C the first b and the last a columns (the minors
+        # that general_position reads), triple_ratio is a ratio of six minors
+        rng = random.Random(30 + n)
+        vertices = 0
+        while vertices < 8 * len(interior_vertices(n)):
+            f1, f2, f3 = (_random_flag(rng, n, (-2, -1, 0, 1, 2)) for _ in range(3))
+            if not general_position(f1, f2, f3):
+                continue
+            config = line_config(f1, f2, f3)
+            rows = _splitting(f1, f2, f3._integer_rows)
+
+            def m(a, b):
+                cols = [*range(b), *range(n - a, n)]
+                return la.det([[row[j] for j in cols] for row in rows[: a + b]])
+
+            for a, b, c in interior_vertices(n):
+                num = m(a - 1, b + 1) * m(a, b - 1) * m(a + 1, b)
+                den = m(a + 1, b - 1) * m(a, b + 1) * m(a - 1, b)
+                assert triple_ratio(config, (a, b, c)) == Q(num, den)
+                vertices += 1
 
     def test_lines_spanning_four_dimensions(self):
         lines = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0), (0, 0, 1, 0)]

@@ -191,13 +191,13 @@ class TestEliminationDefinition:
         got, got_pivots = linalg.rref(rows)
         assert got == want and got_pivots == pivots
         assert all(type(x) is Q for row in got for x in row)
-        assert linalg._echelon(rows)[1] == pivots
+        assert linalg._echelon([linalg._integer_row(r) for r in rows])[1] == pivots
         assert linalg.rank(rows) == len(linalg.rref(rows)[1]) == len(pivots)
 
     @settings(max_examples=100)
     @given(matrices(), st.booleans())
     def test_echelon_rows_are_primitive(self, rows, reduced):
-        m, pivots = linalg._echelon(rows, reduced)
+        m, pivots = linalg._echelon([linalg._integer_row(r) for r in rows], reduced)
         assert all(math.gcd(*row) == 1 for row in m[: len(pivots)])
         assert not any(x for row in m[len(pivots) :] for x in row)
 

@@ -149,6 +149,32 @@ class TestSnake:
         assert boundary_snake_23(3).tiles == ((0, 2, 0), (0, 1, 1), (0, 0, 2))
         assert boundary_snake_31(3).tiles == ((0, 0, 2), (1, 0, 1), (2, 0, 0))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_boundary_snakes_are_made_once(self, n):
+        sides = {
+            boundary_snake_12: [(n - 1 - t, t, 0) for t in range(n)],
+            boundary_snake_23: [(0, n - 1 - t, t) for t in range(n)],
+            boundary_snake_31: [(t, 0, n - 1 - t) for t in range(n)],
+        }
+        for mk, tiles in sides.items():
+            assert mk(n) == Snake(tiles) and mk(n) is mk(n)
+
+    @pytest.mark.parametrize(
+        "n, error", [(0, BadSegment), (-2, BadSegment), (True, TypeError), (2.0, TypeError)],
+        ids=["0", "-2", "True", "2.0"],
+    )
+    def test_bad_boundary_rank_leaves_no_cache_entry(self, n, error):
+        # True and 2.0 hash like 1 and 2, whose snakes are cached here, so
+        # they must be refused before the cache is read
+        sides = (boundary_snake_12, boundary_snake_23, boundary_snake_31)
+        for mk in sides:
+            mk(1), mk(2)
+        before = snakes._boundary_snake.cache_info().currsize
+        for mk in sides:
+            with pytest.raises(error):
+                mk(n)
+        assert snakes._boundary_snake.cache_info().currsize == before
+
     def test_boundary_segments_clockwise(self):
         for mk in (boundary_snake_12, boundary_snake_23, boundary_snake_31):
             s = mk(4)

@@ -50,7 +50,11 @@ from its own checkout:
   buffer), of its parse (parse_known_args of the verify subparser of a
   parser from cli.build_parser), of cli._rand_assignment at n = 3, of the
   three-transport snakes._evaluate at n = 3, and of one FGAssignment
-  construction from a ready dict of Fractions at n = 3, 7 and 32;
+  construction from a ready dict of Fractions at n = 3, 7 and 32; on the
+  rank-2 side, of one in-process `teichkit verify fricke --trials 1 --seed 5`
+  op, of fatgraph.trace_coordinates on one seeded four_holed_sphere (weights
+  p/q with 1 <= p, q <= 9), and of one product of two of its boundary loop
+  matrices, whose entries are all Fractions;
   --breakdown-runs side processes per side, parent and change alternating.
 """
 
@@ -260,22 +264,24 @@ def breakdown_side(repeats):
     import timeit
     from fractions import Fraction
 
-    from teichkit import cli, snakes
+    from teichkit import cli, fatgraph, snakes
     from teichkit.flags import interior_vertices
 
     def best(call, number):
         return min(timeit.repeat(call, number=number, repeat=repeats)) / number
 
-    argv = ["verify", "transport", "--n", "3", "--trials", "1", "--seed", "5"]
     sink = io.StringIO()
 
-    def op():
-        with contextlib.redirect_stdout(sink):
-            cli.main(argv)
-        sink.seek(0)
-        sink.truncate()
+    def op(argv):
+        def call():
+            with contextlib.redirect_stdout(sink):
+                cli.main(argv)
+            sink.seek(0)
+            sink.truncate()
+        return call
 
-    out = {"op": best(op, 2000)}
+    argv = ["verify", "transport", "--n", "3", "--trials", "1", "--seed", "5"]
+    out = {"op": best(op(argv), 2000)}
     verify = cli.build_parser()._commands["verify"]
     out["parse"] = best(lambda: verify.parse_known_args(argv[1:]), 2000)
     rng = random.Random(5)
@@ -288,6 +294,15 @@ def breakdown_side(repeats):
         keys = snakes.side_vertices(n) + interior_vertices(n)
         values = {k: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for k in keys}
         out[f"fg_assignment_n{n}"] = best(lambda: snakes.FGAssignment(n, values), 6000 // n)
+    out["fricke_op"] = best(op(["verify", "fricke", "--trials", "1", "--seed", "5"]), 2000)
+    rng = random.Random(5)
+    ws = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(6)]
+    graph, loops = fatgraph.four_holed_sphere(ws[:3], ws[3:])
+    out["trace_coordinates"] = best(lambda: fatgraph.trace_coordinates(graph, loops), 2000)
+    m1, m2 = graph.holonomy(loops["loop1"]), graph.holonomy(loops["loop2"])
+    if not all(type(x) is Fraction for x in (*m1.entries(), *m2.entries())):
+        raise AssertionError("the Mat2 product row needs two all-Fraction loop matrices")
+    out["mat2_product"] = best(lambda: m1 * m2, 20000)
     return out
 
 

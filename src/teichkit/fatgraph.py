@@ -50,11 +50,18 @@ FatGraph.generator) remain for callers that need the letters themselves.
 
 Mat2 is the one 2x2 matrix type of the package; halfplane.MobiusMap
 subclasses it for matrices with positive determinant acting on the upper
-half-plane.
+half-plane.  Its product follows linalg.mat_mul's rule for exact products.
+When all eight entries of the two factors are Fractions, each factor is
+cleared to ints over the lcm of its four denominators, the eight products
+are taken in ints, and each entry is one Fraction over the product of the
+two lcms.  Every other product (ints, floats, complex, LaurentPoly, mixed
+types) is the four-term formula.  Either way the entries equal the
+formula's in value and in type.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .encode import SCHEMA, _json_list, check_schema, decoding, scalar_from_json, scalar_to_json
 from .errors import DomainError, SchemaError
@@ -98,14 +105,30 @@ class Mat2:
         return cls(1, 0, 0, 1)
 
     def __mul__(self, other):
+        """The product, by the module docstring's rule: over Fractions each
+        factor is cleared to ints once, otherwise the four-term formula."""
         if not isinstance(other, Mat2):
             return NotImplemented
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = other.a, other.b, other.c, other.d
+        if (type(a) is type(b) is type(c) is type(d) is Fraction
+                and type(e) is type(f) is type(g) is type(h) is Fraction):
+            p, q, r, u = a.denominator, b.denominator, c.denominator, d.denominator
+            s = lcm(p, q, r, u)
+            a, b = a.numerator * (s // p), b.numerator * (s // q)
+            c, d = c.numerator * (s // r), d.numerator * (s // u)
+            p, q, r, u = e.denominator, f.denominator, g.denominator, h.denominator
+            t = lcm(p, q, r, u)
+            e, f = e.numerator * (t // p), f.numerator * (t // q)
+            g, h = g.numerator * (t // r), h.numerator * (t // u)
+            st = s * t
+            return Mat2(
+                Fraction(a * e + b * g, st),
+                Fraction(a * f + b * h, st),
+                Fraction(c * e + d * g, st),
+                Fraction(c * f + d * h, st),
+            )
+        return Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def __neg__(self):
         return Mat2(-self.a, -self.b, -self.c, -self.d)
@@ -480,7 +503,8 @@ def trace_coordinates(graph, loops):
     the four holonomies compose to the identity.
     """
     ms = [graph.holonomy(loops[k]) for k in ("loop1", "loop2", "loop3", "loop4")]
-    prod = ms[0] * ms[1] * ms[2] * ms[3]
+    m01 = ms[0] * ms[1]
+    prod = m01 * ms[2] * ms[3]
 
     def near(x, v):
         return abs(x - v) < 1e-9 if isinstance(x, float) else x == v
@@ -489,7 +513,7 @@ def trace_coordinates(graph, loops):
         raise ProductNotIdentity(f"loop product is {prod}, not the identity")
     x1 = (ms[1] * ms[2]).trace()
     x2 = (ms[2] * ms[0]).trace()
-    x3 = (ms[0] * ms[1]).trace()
+    x3 = m01.trace()
     return (x1, x2, x3, ms[0].trace(), ms[1].trace(), ms[2].trace(), ms[3].trace())
 
 
@@ -499,7 +523,25 @@ def fricke_value(coords):
     x1 x2 x3 + x1^2 + x2^2 + x3^2
       - (g4 g1 + g2 g3) x1 - (g4 g2 + g1 g3) x2 - (g4 g3 + g1 g2) x3
       + g1^2 + g2^2 + g3^2 + g4^2 + g1 g2 g3 g4
+
+    By the rule of Mat2's product, seven Fractions are cleared to ints over
+    the lcm D of their denominators, and the relation times D^4 (each term
+    of degree k times D^(4-k)) is one Fraction over D^4; any other
+    coordinates take the formula as written.  Either way the value and its
+    type are the formula's.
     """
+    if all(type(x) is Fraction for x in coords):
+        dens = [x.denominator for x in coords]
+        d = lcm(*dens)
+        x1, x2, x3, g1, g2, g3, g4 = (x.numerator * (d // e) for x, e in zip(coords, dens))
+        cubic = (
+            x1 * x2 * x3
+            - (g4 * g1 + g2 * g3) * x1
+            - (g4 * g2 + g1 * g3) * x2
+            - (g4 * g3 + g1 * g2) * x3
+        )
+        square = x1 * x1 + x2 * x2 + x3 * x3 + g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4
+        return Fraction((cubic + square * d) * d + g1 * g2 * g3 * g4, d ** 4)
     x1, x2, x3, g1, g2, g3, g4 = coords
     return (
         x1 * x2 * x3

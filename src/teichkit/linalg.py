@@ -4,7 +4,8 @@ Matrices are tuples of row tuples.  The division-free operations (product,
 determinant by cofactor expansion, adjugate, projective equality) work over
 any commutative ring element type: Fraction, float, complex, or LaurentPoly.
 Rank, solving and subspace work need a field, but each public routine
-clears its input rows' denominators once, where they come in, and
+clears its input rows' denominators once, where they come in (a str, a
+bool or another entry that is no real number is a TypeError there), and
 ``_echelon`` then eliminates integer rows by one row step, ``_eliminate``,
 which divides each row it changes by its content; callers that already hold
 integer rows (flags) pass them straight in.  Fractions appear only in
@@ -62,6 +63,8 @@ def mat_mul(a, b):
     column of b is cleared to ints once and an entry is one Fraction of an
     int dot product, or that int where its row and column hold only ints;
     any other product sums the entries' own products, without division.
+    fatgraph.Mat2's product follows the same rule over Fractions, with one
+    denominator per 2x2 factor.
     """
     a, b = mat(a), mat(b)
     if not a or not b:
@@ -210,6 +213,19 @@ def _integer_row(v):
     return [a * (scale // d) for a, d in pairs]
 
 
+def _input_row(v):
+    """``_integer_row`` of a row given to a public routine.  A str, a bool or
+    another entry with no exact ratio (None, complex) is a TypeError, as in
+    ``_fractions``; internal callers that already hold numbers skip this."""
+    v = list(v)
+    if bool in map(type, v):
+        raise TypeError(f"entries must be numbers, got {v!r}")
+    try:
+        return _integer_row(v)
+    except AttributeError:
+        raise TypeError(f"entries must be numbers, got {v!r}") from None
+
+
 def _primitive(v):
     """The integer row v divided by its content; a zero row stays zero."""
     g = gcd(*v)
@@ -257,13 +273,13 @@ def _echelon(rows, reduced=False):
 
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot column list)."""
-    m, pivots = _echelon([_integer_row(r) for r in rows], reduced=True)
+    m, pivots = _echelon([_input_row(r) for r in rows], reduced=True)
     scales = [row[c] for row, c in zip(m, pivots)] + [1] * (len(m) - len(pivots))
     return [[Fraction(x, d) for x in row] for row, d in zip(m, scales)], pivots
 
 
 def rank(rows):
-    return len(_echelon([_integer_row(r) for r in rows])[1])
+    return len(_echelon([_input_row(r) for r in rows])[1])
 
 
 def _span(rows):
@@ -278,7 +294,7 @@ def row_space(rows):
 
     Two row sets span the same subspace iff their canonical forms are equal.
     """
-    return _span([_integer_row(r) for r in rows])
+    return _span([_input_row(r) for r in rows])
 
 
 def nullspace(rows):
@@ -317,7 +333,7 @@ def intersect_row_spaces(a_rows, b_rows):
     """Canonical basis of rowspace(A) ∩ rowspace(B), by Zassenhaus' algorithm:
     the rows of an echelon form of [[A, A], [B, 0]] that vanish on the left
     half span the intersection on the right half."""
-    a, b = [_integer_row(r) for r in a_rows], [_integer_row(r) for r in b_rows]
+    a, b = [_input_row(r) for r in a_rows], [_input_row(r) for r in b_rows]
     if not a or not b:
         return ()
     n = len(a[0])
@@ -335,4 +351,4 @@ def _canonical(v):
 
 def canonical_vector(v):
     """Scale so the first nonzero coordinate is 1; canonical line representative."""
-    return _canonical(_integer_row(v))
+    return _canonical(_input_row(v))

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import gcd, isfinite, lcm
+from math import gcd, isfinite
 from operator import add, sub
 
 from .encode import SCHEMA, check_schema, decoding, scalar_from_json, scalar_to_json
@@ -300,8 +300,9 @@ def snake_basis(config, snake, first=None):
         if canonical_vector(v) != (canonical_vector(g0) if any(g0) else None):
             raise DegenerateConfiguration("first vector not on the snake's first line")
     rows = [v]
-    # the last vector is vec / den, with integer entries
-    vec, den = _integer_row(v), lcm(*(x.denominator for x in _fractions(v)))
+    # the last vector is vec / den, with integer entries: v over the lcm of
+    # its denominators, which comes back in place of an appended 1
+    *vec, den = _integer_row((*v, 1))
     for a, b, (m, i, j) in zip(tiles, tiles[1:], snake._frames):
         k = 3 - i - j
         gamma = tuple(m[x] + (1 if x == k else 0) for x in range(3))

@@ -24,6 +24,7 @@ from teichkit.fatgraph import (
     turn_left,
     turn_right,
 )
+from teichkit.halfplane import MobiusMap
 from teichkit.laurent import LaurentRing
 
 F = Fraction
@@ -423,3 +424,127 @@ def test_skein_relation_holds_for_every_word_pair(g, wa, wb):
     a, b = g.holonomy(wa), g.holonomy(wb)
     binv = g.holonomy(wb.inverse())
     assert (a * b).trace() + (a * binv).trace() == a.trace() * b.trace()
+
+
+# -- the exact product rule ----------------------------------------------------
+
+
+def four_term(m, n):
+    """The reference: the 2x2 product by its defining formula, no clearing."""
+    return (
+        m.a * n.a + m.b * n.c,
+        m.a * n.b + m.b * n.d,
+        m.c * n.a + m.d * n.c,
+        m.c * n.b + m.d * n.d,
+    )
+
+
+def typed(entries):
+    return [(x, type(x)) for x in entries]
+
+
+PRODUCT_KINDS = {
+    "int": lambda rng: rng.randint(-9, 9),
+    "fraction": lambda rng: F(rng.randint(-9, 9), rng.randint(1, 9)),
+    # integral Fractions: a cleared product must still hand back Fractions
+    "integral-fraction": lambda rng: F(rng.randint(-9, 9)),
+    "int-fraction": lambda rng: rng.choice(
+        (rng.randint(-9, 9), F(rng.randint(-9, 9), rng.randint(1, 9)))
+    ),
+    "float": lambda rng: rng.uniform(-5.0, 5.0),
+    "complex": lambda rng: complex(rng.randint(-9, 9), rng.randint(-9, 9)) / rng.randint(1, 9),
+    "mixed": lambda rng: rng.choice(
+        (rng.randint(-9, 9), F(rng.randint(1, 9), rng.randint(1, 9)), rng.uniform(-5.0, 5.0))
+    ),
+    "laurent": lambda rng: RING.monomial(
+        F(rng.randint(-5, 5), rng.randint(1, 5)), x=rng.randint(-2, 2), y=rng.randint(-2, 2)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", PRODUCT_KINDS)
+def test_product_equals_the_four_term_formula_entry_types_included(kind):
+    rng = random.Random(kind)
+    draw = PRODUCT_KINDS[kind]
+    for _ in range(200):
+        m, n = Mat2(*(draw(rng) for _ in range(4))), Mat2(*(draw(rng) for _ in range(4)))
+        assert typed((m * n).entries()) == typed(four_term(m, n))
+
+
+def test_product_of_fractions_with_identity_and_zero_factors():
+    m = Mat2(F(4), F(-3, 2), F(0), F(7, 6))
+    for n in (Mat2(F(1), F(0), F(0), F(1)), Mat2(F(0), F(0), F(0), F(0)), m):
+        assert typed((m * n).entries()) == typed(four_term(m, n))
+        assert typed((n * m).entries()) == typed(four_term(n, m))
+    # the int identity and an all-int factor keep the formula's mixed types
+    for n in (Mat2.identity(), turn_right()):
+        assert typed((m * n).entries()) == typed(four_term(m, n))
+        assert typed((n * turn_left()).entries()) == typed(four_term(n, turn_left()))
+
+
+@pytest.mark.parametrize("kind", ["fraction", "int", "float"])
+def test_mobius_compose_is_the_four_term_product(kind):
+    rng = random.Random(f"compose-{kind}")
+    draw = PRODUCT_KINDS[kind]
+    for _ in range(100):
+        while True:
+            m1, m2 = ([draw(rng) for _ in range(4)] for _ in range(2))
+            if m1[0] * m1[3] - m1[1] * m1[2] > 0 and m2[0] * m2[3] - m2[1] * m2[2] > 0:
+                break
+        m1, m2 = MobiusMap(*m1), MobiusMap(*m2)
+        got = m1.compose(m2)
+        assert type(got) is MobiusMap
+        assert typed(got.entries()) == typed(four_term(m1, m2))
+
+
+def six_product_coordinates(graph, loops):
+    """trace_coordinates' values as the six-product form gave them: each x_i
+    from its own product (the other three made the loop product), all by
+    the four-term formula."""
+    ms = [graph.holonomy(loops[k]) for k in ("loop1", "loop2", "loop3", "loop4")]
+
+    def times(m, n):
+        return Mat2(*four_term(m, n))
+
+    x1 = times(ms[1], ms[2]).trace()
+    x2 = times(ms[2], ms[0]).trace()
+    x3 = times(ms[0], ms[1]).trace()
+    return (x1, x2, x3, *(m.trace() for m in ms))
+
+
+@pytest.mark.parametrize("mode", ["rational", "int", "float"])
+def test_trace_coordinates_equal_the_six_product_version(mode):
+    rng = random.Random(f"coords-{mode}")
+    weight = {
+        "rational": lambda: F(rng.randint(1, 12), rng.randint(1, 12)),
+        "int": lambda: rng.randint(1, 9),
+        "float": lambda: rng.uniform(0.2, 5.0),
+    }[mode]
+    for _ in range(40):
+        g, loops = four_holed_sphere([weight() for _ in range(3)], [weight() for _ in range(3)])
+        got, want = trace_coordinates(g, loops), six_product_coordinates(g, loops)
+        # floats too: the association is unchanged, so equal to the last bit
+        assert typed(got) == typed(want)
+
+
+def fricke_formula(coords):
+    """The reference: fricke_value's relation as written, no clearing."""
+    x1, x2, x3, g1, g2, g3, g4 = coords
+    return (
+        x1 * x2 * x3
+        + x1 * x1 + x2 * x2 + x3 * x3
+        - (g4 * g1 + g2 * g3) * x1
+        - (g4 * g2 + g1 * g3) * x2
+        - (g4 * g3 + g1 * g2) * x3
+        + g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4
+        + g1 * g2 * g3 * g4
+    )
+
+
+@pytest.mark.parametrize("kind", PRODUCT_KINDS)
+def test_fricke_value_equals_the_formula_type_included(kind):
+    rng = random.Random(f"fricke-{kind}")
+    draw = PRODUCT_KINDS[kind]
+    for _ in range(100):
+        coords = tuple(draw(rng) for _ in range(7))
+        assert typed([fricke_value(coords)]) == typed([fricke_formula(coords)])

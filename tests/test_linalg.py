@@ -260,3 +260,30 @@ def test_solve_needs_one_right_hand_side_per_equation(b):
     # zipping the rows with b would drop the equations past len(b)
     with pytest.raises(linalg.LinAlgError, match="2 equations"):
         linalg.solve([[1, 2], [3, 4]], b)
+
+
+FIELD_ROUTINES = {
+    "rank": lambda row: linalg.rank([[1, 0], row]),
+    "rref": lambda row: linalg.rref([row]),
+    "row_space": lambda row: linalg.row_space([row]),
+    "nullspace": lambda row: linalg.nullspace([row]),
+    "canonical_vector": lambda row: linalg.canonical_vector(row),
+    "intersect-left": lambda row: linalg.intersect_row_spaces([row], [[1, 0]]),
+    "intersect-right": lambda row: linalg.intersect_row_spaces([[1, 0]], [row]),
+    "solve": lambda row: linalg.solve([row], [7]),
+}
+
+
+@pytest.mark.parametrize("entry", ["1", True, False, None, 1j], ids=repr)
+@pytest.mark.parametrize("routine", FIELD_ROUTINES)
+def test_non_number_entries_are_refused(routine, entry):
+    # as _fractions refuses them: Fraction would parse a str and read a bool
+    # as 0 or 1, and a str, None or a complex has no exact ratio
+    row = [entry, 2]
+    seen = row + [7] if routine == "solve" else row
+    with pytest.raises(Exception) as refused:
+        FIELD_ROUTINES[routine](row)
+    assert (type(refused.value), str(refused.value)) == (
+        TypeError,
+        f"entries must be numbers, got {seen!r}",
+    )

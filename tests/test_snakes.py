@@ -370,6 +370,26 @@ class TestSnakeBasis:
             entries += [x for row in snake_basis(cfg, mk(n)) for x in row]
         assert entries and all(type(x) is Q for x in entries)
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_non_canonical_lines_give_the_same_basis(self, n):
+        # the segments read their lines projectively and the first vector,
+        # over its common denominator, fixes the scale: lines stored as any
+        # rational multiples give the same rows, types included
+        cfg, _ = positive_config(n, n)
+        rng = random.Random(n)
+        scales = {k: Q(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for k in cfg.lines}
+        lines = {k: tuple(scales[k] * x for x in v) for k, v in cfg.lines.items()}
+        scaled = LineConfig(n, lines, cfg.planes)
+        for mk in (boundary_snake_12, boundary_snake_23, boundary_snake_31):
+            snake = mk(n)
+            g = cfg.lines[snake.tiles[0]]
+            for first in (tuple(Q(-3, 7) * x for x in g), [5 * x for x in g]):
+                want = snake_basis(cfg, snake, first=first)
+                assert repr(snake_basis(scaled, snake, first=first)) == repr(want)
+            t = scales[snake.tiles[0]]
+            base = snake_basis(cfg, snake)
+            assert snake_basis(scaled, snake) == tuple(tuple(t * x for x in r) for r in base)
+
 
 class TestStandardMatrix:
     def test_factorization_exact(self):

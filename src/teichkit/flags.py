@@ -12,12 +12,12 @@ Everything in this module is exact.  Every output is projective, so rank,
 transversality and genericity are decided over the integers, on rows with
 cleared denominators, by linalg's fraction-free row step, which divides each
 row it changes by its content.  Fractions appear only in results:
-canonical_vector lines, row_space planes and the returned ratios.  Each
-integer form is made once, where its rows are made: a ``Flag`` clears its
-rows at construction, and every elimination of flag rows (genericity, the
-splitting, ``line_config``'s lines and planes) reads those integer rows; a
-``LineConfig`` clears each of its lines at construction to the integer
-generator that ``triple_ratio`` and ``snakes.snake_basis`` read.
+canonical_vector lines, row_space planes and the returned ratios.  A row is
+cleared once, where it comes in (``linalg._cleared``): a ``Flag``'s rows at
+construction, for every elimination of flag rows (genericity, the
+splitting, ``line_config``'s lines and planes); a ``LineConfig``'s lines at
+construction, for ``triple_ratio`` and ``snakes.snake_basis``; the vectors
+given to ``pencil_cross_ratio`` and ``projective_basis_vectors`` on entry.
 """
 
 import math
@@ -39,13 +39,10 @@ from .halfplane import INFINITY, cross_ratio as boundary_cross_ratio
 from .linalg import (
     LinAlgError,
     _canonical,
+    _cleared,
     _echelon,
     _eliminate,
-    _fractions,
-    _integer_row,
     _span,
-    mat,
-    rref,
 )
 
 
@@ -86,9 +83,9 @@ class Flag:
     not a finite number (a float nan or inf) is a DimensionMismatch.  Flags
     are immutable and compare by their row matrix.
 
-    Each row's integer form (the row times the lcm of its denominators) is
-    derived once, at construction, and every elimination of the flag's rows
-    reads it in place of ``rows``.
+    Each row is cleared once, at construction, to its integer form (the row
+    times the lcm of its denominators), and every elimination of the flag's
+    rows reads that in place of ``rows``.
     """
 
     rows: tuple
@@ -96,16 +93,17 @@ class Flag:
 
     def __post_init__(self):
         try:
-            rows = [_fractions(r) for r in self.rows]
+            cleared = [_cleared(r) for r in self.rows]
         except (ValueError, OverflowError):
             raise DimensionMismatch("a flag entry is not a finite number") from None
-        if not rows or any(len(r) != len(rows) for r in rows):
+        n = len(cleared)
+        if not n or any(len(r) != n for r, _ in cleared):
             raise DimensionMismatch("flag matrix must be square and nonempty")
-        m = mat(rows)
-        integer_rows = tuple(tuple(_integer_row(r)) for r in m)
-        if len(_echelon(integer_rows)[1]) != len(m):
+        integer_rows = tuple(tuple(r) for r, _ in cleared)
+        if len(_echelon(integer_rows)[1]) != n:
             raise SingularFlag("flag matrix is singular")
-        object.__setattr__(self, "rows", m)
+        rows = tuple(tuple(Fraction(x, d) for x in r) for r, d in cleared)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_integer_rows", integer_rows)
 
     @property
@@ -137,12 +135,12 @@ class Flag:
 
 def standard_flag(n):
     """The flag spanned by e_1, e_2, ..., e_n in that order."""
-    return Flag(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
+    return Flag([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def reversed_flag(n):
     """The flag spanned by e_n, ..., e_1; opposite to the standard one."""
-    return Flag(tuple(tuple(Fraction(int(i + j == n - 1)) for j in range(n)) for i in range(n)))
+    return Flag([[int(i + j == n - 1) for j in range(n)] for i in range(n)])
 
 
 # -- lattice bookkeeping ------------------------------------------------------
@@ -284,24 +282,30 @@ def projective_basis_vectors(lines, weights):
     scalars.  Returns the unique (up to one global factor) basis with
     <v_i> = lines[i] and <w_1 v_1 + ... + w_n v_n> = lines[n].  The global
     factor is fixed by scaling the first vector's first nonzero entry to 1.
+    Lines of different lengths are a DimensionMismatch.  Lines and weights
+    are read as integer rows: a line's scale cancels against its coefficient,
+    and the weights' common scale goes with the global factor.
     """
-    gens = [_fractions(v) for v in lines]
+    gens = [_cleared(v)[0] for v in lines]
     if not gens:
         raise NotProjectiveBasis("no lines given")
     n = len(gens[0])
+    if any(len(g) != n for g in gens):
+        raise DimensionMismatch("lines live in different dimensions")
     if len(gens) != n + 1:
         raise NotProjectiveBasis(f"need {n + 1} lines in dimension {n}, got {len(gens)}")
-    w = _fractions(weights)
+    w = _cleared(weights)[0]
     if len(w) != n or any(x == 0 for x in w):
         raise NotProjectiveBasis("weights must be n nonzero scalars")
     # any n of the lines span iff the first n do and the last line has a
-    # nonzero coefficient on each of them: one rref of [v_1 .. v_n | v_n+1]
-    m, pivots = rref([list(col) + [x] for col, x in zip(zip(*gens[:n]), gens[n])])
+    # nonzero coefficient on each of them: one reduced echelon form of
+    # [v_1 .. v_n | v_n+1]
+    m, pivots = _echelon([[*col, x] for col, x in zip(zip(*gens[:n]), gens[n])], reduced=True)
     if pivots != list(range(n)):
         raise NotProjectiveBasis("some n of the lines do not span")
-    coeffs = [row[n] for row in m]
-    if any(c == 0 for c in coeffs):
+    if any(row[n] == 0 for row in m):
         raise NotProjectiveBasis("last line is not a full mix of the others")
+    coeffs = [Fraction(row[n], row[i]) for i, row in enumerate(m)]
     vecs = [tuple(c / wi * x for x in g) for c, wi, g in zip(coeffs, w, gens)]
     lead = next(x for x in vecs[0] if x != 0)
     return tuple(tuple(x / lead for x in v) for v in vecs)
@@ -328,15 +332,16 @@ class LineConfig:
     spelling ``to_json`` writes ("1,0,0", not "01,0,0"), so no two JSON keys
     name the same tile.
 
-    Each line's integer generator is derived once, after these checks, and
-    the consumers read it in place of the line, so ``lines`` must not be
-    edited after construction.
+    Each line is cleared once, after these checks, to its integer generator
+    and denominator, which the consumers read in place of the line, so
+    ``lines`` must not be edited after construction.  A consumer that needs
+    a line the config lacks raises DegenerateConfiguration.
     """
 
     n: int
     lines: dict
     planes: dict
-    _integer_lines: dict = field(init=False, compare=False)
+    _cleared_lines: dict = field(init=False, compare=False)
 
     __hash__ = None
 
@@ -360,8 +365,14 @@ class LineConfig:
             math.isfinite(x) for x in chain.from_iterable(vectors) if type(x) is float
         ):
             raise DimensionMismatch("a line or plane entry is not a finite number")
-        integer_lines = {k: _integer_row(v) for k, v in self.lines.items()}
-        object.__setattr__(self, "_integer_lines", integer_lines)
+        object.__setattr__(self, "_cleared_lines", {k: _cleared(v) for k, v in self.lines.items()})
+
+    def _line(self, tile):
+        """(integer generator, denominator) of the line at ``tile``."""
+        try:
+            return self._cleared_lines[tile]
+        except KeyError:
+            raise DegenerateConfiguration(f"no line at tile {tile}") from None
 
     def __repr__(self):
         return f"LineConfig(n={self.n}, {len(self.lines)} lines, {len(self.planes)} planes)"
@@ -477,7 +488,7 @@ def triple_ratio(config, vertex):
         (a + 1, b - 1, c - 1), (a, b, c - 1), (a - 1, b + 1, c - 1),
         (a - 1, b, c), (a - 1, b - 1, c + 1), (a, b - 1, c),
     )
-    lines = [config._integer_lines[k] for k in keys]
+    lines = [config._line(k)[0] for k in keys]
     pivots = _echelon(lines)[1]
     if len(pivots) != 3:
         raise DegenerateConfiguration(
@@ -503,16 +514,19 @@ def pencil_cross_ratio(l1, l2, l3, l4):
     Each line is mapped to its slope in the reduced echelon basis of that
     subspace (read off its entries at the two pivot columns) and the
     boundary cross ratio of the four slopes is returned; the result does not
-    depend on the basis.
+    depend on the basis.  Generators of different lengths are a
+    DimensionMismatch.
     """
-    gens = [_fractions(v) for v in (l1, l2, l3, l4)]
+    gens = [_cleared(v)[0] for v in (l1, l2, l3, l4)]
+    if len(set(map(len, gens))) > 1:
+        raise DimensionMismatch("lines live in different dimensions")
     if not all(any(g) for g in gens):
         raise DegenerateConfiguration("a zero vector spans no line")
-    pivots = _echelon([_integer_row(g) for g in gens])[1]
+    pivots = _echelon(gens)[1]
     if len(pivots) > 2:
         raise NotCoplanar("lines do not lie in a common plane")
     if len(pivots) < 2:
         raise DegenerateConfiguration("lines span less than a plane")
     p, q = pivots
-    slopes = [INFINITY if g[p] == 0 else g[q] / g[p] for g in gens]
+    slopes = [INFINITY if g[p] == 0 else Fraction(g[q], g[p]) for g in gens]
     return boundary_cross_ratio(*slopes)

@@ -3,24 +3,23 @@
 Matrices are tuples of row tuples.  The division-free operations (product,
 determinant by cofactor expansion, adjugate, projective equality) work over
 any commutative ring element type: Fraction, float, complex, or LaurentPoly.
-Rank, solving and subspace work need a field, but each public routine
-clears its input rows' denominators once, where they come in (a str, a
-bool or another entry that is no real number is a TypeError there), and
-``_echelon`` then eliminates integer rows by one row step, ``_eliminate``,
-which divides each row it changes by its content; callers that already hold
-integer rows (flags) pass them straight in.  Fractions appear only in
-results.
+Rank, solving and subspace work need a field.
+
+An exact row is cleared once, where it comes in: ``_cleared`` gives its
+entries as ints over the lcm of their denominators (a str, a bool or another
+entry with no exact ratio is a TypeError there), and ``_echelon`` then
+eliminates integer rows by one row step, ``_eliminate``, which divides each
+row it changes by its content; callers that already hold integer rows
+(flags) pass them straight in.  Fractions appear only in results.
 
 Products cost O(n^3) and projective equality O(n^2).  A product whose
 entries are all ints and Fractions clears each row of its left factor and
-each column of its right one to ints once and makes one Fraction per
-entry, instead of one gcd per entry product; BENCH_25.json times it on the
-four boundary loop matrices of surface.four_holed_sphere_fg.  Det and
-adjugate expand cofactors and grow like n!; they serve tests only, as
-references, and no other module of the package imports them: snakes
-evaluates and inverts transports from their words, Flag checks
-invertibility by rank, and flags.triple_ratio takes its 3x3 determinants
-as triple products.
+each column of its right one that holds a Fraction, and makes one Fraction
+per entry.  Det and adjugate expand cofactors and grow like n!; they serve
+tests only, as references, and no other module of the package imports them:
+snakes evaluates and inverts transports from their words, Flag checks
+invertibility by rank, and flags.triple_ratio takes its 3x3 determinants as
+triple products.
 """
 
 from fractions import Fraction
@@ -47,22 +46,32 @@ def transpose(a):
     return tuple(zip(*a))
 
 
-def _cleared(v, exact):
-    """(v over a common denominator d, d) when exact and v holds a Fraction,
-    else (v, None)."""
-    if exact and any(type(x) is Fraction for x in v):
-        d = lcm(*(x.denominator for x in v))
-        return [x.numerator * (d // x.denominator) for x in v], d
-    return v, None
+def _cleared(v):
+    """(ints, d) with v = ints / d, d the lcm of the entries' denominators.
+
+    A str, a bool or another entry with no exact ratio (None, complex) is a
+    TypeError: Fraction would parse the one and read the other as 0 or 1.  A
+    float nan or inf raises ValueError or OverflowError, as in Fraction.
+    """
+    v = list(v)
+    if bool in map(type, v):
+        raise TypeError(f"entries must be numbers, got {v!r}")
+    try:
+        pairs = [x.as_integer_ratio() for x in v]
+    except AttributeError:
+        raise TypeError(f"entries must be numbers, got {v!r}") from None
+    d = lcm(*[q for _, q in pairs])
+    return [p * (d // q) for p, q in pairs], d
 
 
 def mat_mul(a, b):
     """The product a b, each entry summed over its row and column in order.
 
     When every entry of a and b is an int or a Fraction, each row of a and
-    column of b is cleared to ints once and an entry is one Fraction of an
-    int dot product, or that int where its row and column hold only ints;
-    any other product sums the entries' own products, without division.
+    column of b that holds a Fraction is cleared to ints once, and an entry
+    is one Fraction of an int dot product, or that int where its row and
+    column hold only ints; any other product sums the entries' own
+    products, without division.
     fatgraph.Mat2's product follows the same rule over Fractions, with one
     denominator per 2x2 factor.
     """
@@ -72,8 +81,10 @@ def mat_mul(a, b):
     if len(a[0]) != len(b):
         raise LinAlgError(f"shape mismatch {len(a)}x{len(a[0])} * {len(b)}x{len(b[0])}")
     exact = all(type(x) is int or type(x) is Fraction for m in (a, b) for r in m for x in r)
-    rows = [_cleared(r, exact) for r in a]
-    cols = [_cleared(c, exact) for c in transpose(b)]
+    rows, cols = (
+        [_cleared(v) if exact and Fraction in map(type, v) else (v, None) for v in m]
+        for m in (a, transpose(b))
+    )
     return tuple(
         tuple(
             sum(map(mul, x, y)) if dx is dy is None
@@ -197,35 +208,6 @@ def proj_eq(a, b):
 # -- field routines ----------------------------------------------------------
 
 
-def _fractions(v):
-    """The entries of v as Fractions, in a new list.  A str or a bool is a
-    TypeError: Fraction would parse the one and read the other as 0 or 1."""
-    v = list(v)
-    if any(isinstance(x, (str, bool)) for x in v):
-        raise TypeError(f"entries must be numbers, got {v!r}")
-    return [x if isinstance(x, Fraction) else Fraction(x) for x in v]
-
-
-def _integer_row(v):
-    """v times the lcm of its denominators: an integer row spanning the same line."""
-    pairs = [x.as_integer_ratio() for x in v]
-    scale = lcm(*[d for _, d in pairs])
-    return [a * (scale // d) for a, d in pairs]
-
-
-def _input_row(v):
-    """``_integer_row`` of a row given to a public routine.  A str, a bool or
-    another entry with no exact ratio (None, complex) is a TypeError, as in
-    ``_fractions``; internal callers that already hold numbers skip this."""
-    v = list(v)
-    if bool in map(type, v):
-        raise TypeError(f"entries must be numbers, got {v!r}")
-    try:
-        return _integer_row(v)
-    except AttributeError:
-        raise TypeError(f"entries must be numbers, got {v!r}") from None
-
-
 def _primitive(v):
     """The integer row v divided by its content; a zero row stays zero."""
     g = gcd(*v)
@@ -273,13 +255,13 @@ def _echelon(rows, reduced=False):
 
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot column list)."""
-    m, pivots = _echelon([_input_row(r) for r in rows], reduced=True)
+    m, pivots = _echelon([_cleared(r)[0] for r in rows], reduced=True)
     scales = [row[c] for row, c in zip(m, pivots)] + [1] * (len(m) - len(pivots))
     return [[Fraction(x, d) for x in row] for row, d in zip(m, scales)], pivots
 
 
 def rank(rows):
-    return len(_echelon([_input_row(r) for r in rows])[1])
+    return len(_echelon([_cleared(r)[0] for r in rows])[1])
 
 
 def _span(rows):
@@ -294,7 +276,7 @@ def row_space(rows):
 
     Two row sets span the same subspace iff their canonical forms are equal.
     """
-    return _span([_input_row(r) for r in rows])
+    return _span([_cleared(r)[0] for r in rows])
 
 
 def nullspace(rows):
@@ -333,7 +315,7 @@ def intersect_row_spaces(a_rows, b_rows):
     """Canonical basis of rowspace(A) ∩ rowspace(B), by Zassenhaus' algorithm:
     the rows of an echelon form of [[A, A], [B, 0]] that vanish on the left
     half span the intersection on the right half."""
-    a, b = [_input_row(r) for r in a_rows], [_input_row(r) for r in b_rows]
+    a, b = [_cleared(r)[0] for r in a_rows], [_cleared(r)[0] for r in b_rows]
     if not a or not b:
         return ()
     n = len(a[0])
@@ -351,4 +333,4 @@ def _canonical(v):
 
 def canonical_vector(v):
     """Scale so the first nonzero coordinate is 1; canonical line representative."""
-    return _canonical(_input_row(v))
+    return _canonical(_cleared(v)[0])

@@ -47,7 +47,7 @@ from operator import add, sub
 from .encode import SCHEMA, check_schema, decoding, scalar_from_json, scalar_to_json
 from .errors import DomainError, SchemaError
 from .flags import DegenerateConfiguration, interior_vertices
-from .linalg import _fractions, _integer_row, canonical_vector, mat_mul, mat_prod, transpose
+from .linalg import _canonical, _cleared, mat_mul, mat_prod, transpose
 
 
 # The largest rank n an FGAssignment accepts (the smallest is 2).  Its keys
@@ -283,30 +283,28 @@ def snake_basis(config, snake, first=None):
     returned in snake order, as Fractions; the first is ``first``, or the
     stored line itself.
 
-    The lines b and c are read as the integer generators the config derived
+    The lines b and c are read as the integer generators the config cleared
     at construction, and each segment's gray corner and axes as the snake
     found them when it checked the segment.  A given ``first`` must span the
     stored first line, compared projectively.
     """
-    lines = config._integer_lines
     if config.n != snake.n:
         raise BadSegment(f"snake for n={snake.n} but config has n={config.n}")
     tiles = snake.tiles
-    g0 = lines[tiles[0]]
+    # the last vector is vec / den, vec an integer row; a row is cleared once,
+    # where it comes in: the config's line at construction, or ``first`` here
+    g0, d0 = config._line(tiles[0])
     if first is None:
-        v = config.lines[tiles[0]]
+        rows, vec, den = [config.lines[tiles[0]]], g0, d0
     else:
-        v = tuple(_fractions(first))
-        if canonical_vector(v) != (canonical_vector(g0) if any(g0) else None):
+        vec, den = _cleared(first)
+        if _canonical(vec) != (_canonical(g0) if any(g0) else None):
             raise DegenerateConfiguration("first vector not on the snake's first line")
-    rows = [v]
-    # the last vector is vec / den, with integer entries: v over the lcm of
-    # its denominators, which comes back in place of an appended 1
-    *vec, den = _integer_row((*v, 1))
+        rows = [tuple(Fraction(x, den) for x in vec)]
     for a, b, (m, i, j) in zip(tiles, tiles[1:], snake._frames):
         k = 3 - i - j
         gamma = tuple(m[x] + (1 if x == k else 0) for x in range(3))
-        u, w = lines[b], lines[gamma]
+        u, w = config._line(b)[0], config._line(gamma)[0]
         rhs = [-x for x in vec] if (i, j) in _CLOCKWISE else vec
         pairs = combinations(range(len(u)), 2)
         s, t = next(((s, t) for s, t in pairs if u[s] * w[t] != u[t] * w[s]), (0, 0))

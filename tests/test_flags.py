@@ -503,6 +503,14 @@ class TestProjectiveBasis:
                 [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], (1, 0, 1)
             )
 
+    @pytest.mark.parametrize(
+        "lines", [[(1, 0), (0, 1, 5), (1, 1)], [(1, 0), (0, 1), (1, 1, 7)]], ids=["mid", "last"]
+    )
+    def test_lines_of_different_lengths_are_refused(self, lines):
+        # zipping the lines would drop the extra entry or keep a ragged basis
+        with pytest.raises(DimensionMismatch, match="different dimensions"):
+            projective_basis_vectors(lines, (1, 1))
+
     def test_pinning_recovery(self):
         # snake-side basis plus its pinning line reproduces the side basis
         # vectors sigma_i * (their lines) with a single common factor
@@ -623,6 +631,17 @@ class TestTripleRatio:
             triple_ratio(config, (2, 1, 0))
         with pytest.raises(ValueError):
             triple_ratio(config, (1, 1, 2))
+
+    def test_missing_line_is_refused(self):
+        # a LineConfig, or one from_json reads, need not hold every line
+        partial = LineConfig(3, {(2, 0, 0): (1, 0, 0)}, {})
+        for cfg in (partial, LineConfig.from_json(partial.to_json())):
+            with pytest.raises(DegenerateConfiguration, match=r"no line at tile \(1, 1, 0\)"):
+                triple_ratio(cfg, (1, 1, 1))
+            with pytest.raises(DegenerateConfiguration, match=r"no line at tile \(1, 1, 0\)"):
+                snake_basis(cfg, boundary_snake_12(3))
+        with pytest.raises(DegenerateConfiguration, match=r"no line at tile \(2, 0, 0\)"):
+            snake_basis(LineConfig(3, {}, {}), boundary_snake_12(3), first=(1, 0, 0))
 
     def test_n4_interior_vertices(self):
         rng = random.Random(33)
@@ -748,6 +767,12 @@ class TestPencilCrossRatio:
     def test_collinear_generators_degenerate(self):
         with pytest.raises(DegenerateConfiguration):
             pencil_cross_ratio((1, 0), (2, 0), (3, 0), (4, 0))
+
+    def test_generators_of_different_lengths_are_refused(self):
+        with pytest.raises(DimensionMismatch, match="different dimensions"):
+            pencil_cross_ratio((1, 0), (0, 1), (1, 1), (1, 2, 0))
+        with pytest.raises(DimensionMismatch, match="different dimensions"):
+            pencil_cross_ratio((1, 0, 0), (0, 1), (1, 1), (1, 2))
 
     def test_basis_invariance(self):
         rng = random.Random(21)

@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teichkit import linalg
+from teichkit.flags import (
+    DimensionMismatch,
+    Flag,
+    LineConfig,
+    pencil_cross_ratio,
+    projective_basis_vectors,
+)
 from teichkit.laurent import LaurentRing
 from teichkit.linalg import adjugate, det, is_scalar_matrix, mat_mul, mat_scale, proj_eq
+from teichkit.snakes import boundary_snake_12, snake_basis
 
 
 def _random_matrix(rng, n):
@@ -191,13 +199,13 @@ class TestEliminationDefinition:
         got, got_pivots = linalg.rref(rows)
         assert got == want and got_pivots == pivots
         assert all(type(x) is Q for row in got for x in row)
-        assert linalg._echelon([linalg._integer_row(r) for r in rows])[1] == pivots
+        assert linalg._echelon([linalg._cleared(r)[0] for r in rows])[1] == pivots
         assert linalg.rank(rows) == len(linalg.rref(rows)[1]) == len(pivots)
 
     @settings(max_examples=100)
     @given(matrices(), st.booleans())
     def test_echelon_rows_are_primitive(self, rows, reduced):
-        m, pivots = linalg._echelon([linalg._integer_row(r) for r in rows], reduced)
+        m, pivots = linalg._echelon([linalg._cleared(r)[0] for r in rows], reduced)
         assert all(math.gcd(*row) == 1 for row in m[: len(pivots)])
         assert not any(x for row in m[len(pivots) :] for x in row)
 
@@ -273,17 +281,46 @@ FIELD_ROUTINES = {
     "solve": lambda row: linalg.solve([row], [7]),
 }
 
+# the field routines and every other entry point that clears a row given
+# from outside, each called with the row [entry, 2]
+RANK2_LINES = LineConfig(2, {(1, 0, 0): (1, 0), (0, 1, 0): (0, 1), (0, 0, 1): (1, 1)}, {})
+ROW_ENTRY_POINTS = {
+    **FIELD_ROUTINES,
+    "Flag": lambda row: Flag([row, [0, 1]]),
+    "pencil_cross_ratio": lambda row: pencil_cross_ratio(row, (1, 0), (0, 1), (1, 1)),
+    "basis-lines": lambda row: projective_basis_vectors([row, (0, 1), (1, 1)], (1, 1)),
+    "basis-weights": lambda row: projective_basis_vectors([(1, 0), (0, 1), (1, 1)], row),
+    "snake_basis-first": lambda row: snake_basis(
+        RANK2_LINES, boundary_snake_12(2), first=row
+    ),
+}
+
 
 @pytest.mark.parametrize("entry", ["1", True, False, None, 1j], ids=repr)
-@pytest.mark.parametrize("routine", FIELD_ROUTINES)
+@pytest.mark.parametrize("routine", ROW_ENTRY_POINTS)
 def test_non_number_entries_are_refused(routine, entry):
-    # as _fractions refuses them: Fraction would parse a str and read a bool
+    # as _cleared refuses them: Fraction would parse a str and read a bool
     # as 0 or 1, and a str, None or a complex has no exact ratio
     row = [entry, 2]
     seen = row + [7] if routine == "solve" else row
     with pytest.raises(Exception) as refused:
-        FIELD_ROUTINES[routine](row)
+        ROW_ENTRY_POINTS[routine](row)
     assert (type(refused.value), str(refused.value)) == (
         TypeError,
         f"entries must be numbers, got {seen!r}",
     )
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("routine", ROW_ENTRY_POINTS)
+def test_non_finite_entries_are_refused(routine, entry):
+    # a Flag calls them no finite number; elsewhere they raise as in Fraction
+    if routine == "Flag":
+        want = (DimensionMismatch, "a flag entry is not a finite number")
+    else:
+        with pytest.raises((ValueError, OverflowError)) as fraction:
+            Q(entry)
+        want = (type(fraction.value), str(fraction.value))
+    with pytest.raises(Exception) as refused:
+        ROW_ENTRY_POINTS[routine]([entry, 2])
+    assert (type(refused.value), str(refused.value)) == want

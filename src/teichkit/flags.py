@@ -151,8 +151,6 @@ def reversed_flag(n):
 
 
 def _triples(total):
-    if total < 0:
-        return []
     return [
         (a, b, total - a - b)
         for a in range(total, -1, -1)

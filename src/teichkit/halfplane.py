@@ -271,8 +271,6 @@ def common_perpendicular(g1, g2):
     """
     if _share_endpoint(g1, g2):
         raise NotDisjoint("geodesics share a boundary endpoint")
-    if isinstance(g1, Vertical) and isinstance(g2, Vertical):
-        raise NotDisjoint("two verticals meet at infinity")
     if isinstance(g1, Arc) and isinstance(g2, Vertical):
         g1, g2 = g2, g1
     if isinstance(g1, Vertical):

@@ -28,13 +28,11 @@ a lazy int scale, and divides once per entry, at the end; any other word
 runs in its values' ring without division.  Over ints H_k(p/q) multiplies
 the n column scales, by p or by q, instead of the n^2 entries, S puts its
 signs on the odd scales, and L_k folds two columns of different scales over
-their gcd.  For values
-p/q with p, q <= 9 the column ints then stay near 25, 60 and 130 bits at
-n = 8, 16 and 32, while the scales and the running denominator carry about
-60, 220 and 820.  A transport costs O(n^3) int products, and an adjugate,
-read off the reversed word with one scalar per word, the same;
-BENCH_25.json records both per rank, against the eager scaling of every
-entry by every H.
+their gcd.  A transport costs O(n^3) int products, and an adjugate, read
+off the reversed word with one scalar per word, the same.  The column ints
+grow about linearly in n, in bits; the scales and the running denominator,
+which gather a numerator or denominator of every one of the word's O(n^2)
+H values, grow about like n^2.
 """
 
 from dataclasses import dataclass, field
@@ -52,9 +50,9 @@ from .linalg import _canonical, _cleared, mat_mul, mat_prod, transpose
 
 # The largest rank n an FGAssignment accepts (the smallest is 2).  Its keys
 # number O(n^2), and a transport or an adjugate costs O(n^3) int products,
-# n or 2n for each factor of its word, on scales that grow to about 820 bits
-# at n = 32 (BENCH_25.json times them).  A short document such as
-# "n": 10**9 would not return; it is refused before any key is enumerated.
+# n or 2n for each factor of its word, on column scales whose bits grow like
+# n^2.  A short document such as "n": 10**9 would not return; it is refused
+# before any key is enumerated.
 MAX_RANK = 32
 
 
@@ -122,13 +120,16 @@ _CLOCKWISE = {(0, 1), (1, 2), (2, 0)}
 
 
 def _segment_frame(a, b):
-    """For adjacent tiles a, b return (gray corner m, axis of a, axis of b)."""
+    """(c, clockwise) for the segment from tile a to an adjacent tile b: c is
+    the third tile of their gray triangle, and clockwise whether a -> b runs
+    clockwise around it.  Tiles that are not adjacent are a BadSegment."""
     m = tuple(min(x, y) for x, y in zip(a, b))
     if sum(m) != sum(a) - 1:
         raise BadSegment(f"tiles {a} and {b} are not adjacent")
     i = next(k for k in range(3) if a[k] == m[k] + 1)
     j = next(k for k in range(3) if b[k] == m[k] + 1)
-    return m, i, j
+    k = 3 - i - j
+    return tuple(m[x] + (1 if x == k else 0) for x in range(3)), (i, j) in _CLOCKWISE
 
 
 @dataclass(frozen=True)
@@ -184,8 +185,7 @@ class Snake:
         """
         if not 0 <= i < self.n - 1:
             raise IndexError(f"segment index must be in 0..{self.n - 2}, got {i}")
-        _, a, b = self._frames[i]
-        return (a, b) in _CLOCKWISE
+        return self._frames[i][1]
 
 
 def boundary_snake_12(n):
@@ -214,28 +214,27 @@ def _int_rank(n):
 
 
 # The boundary snake of side 12, 23 or 31 (side 0, 1 or 2: the side-12 tiles
-# with their coordinates rotated side times) of rank n, kept per (n, side)
-# from its first use.  A Snake is frozen, so every caller may share it.
+# rotated side times) of rank n, kept per (n, side) from its first use.  A
+# Snake is frozen, so every caller may share it.
 @cache
 def _boundary_snake(n, side):
-    tiles = [(n - 1 - t, t, 0) for t in range(n)]
-    return Snake([tile[3 - side :] + tile[: 3 - side] for tile in tiles])
+    return Snake([_rotate_key((n - 1 - t, t, 0), side) for t in range(n)])
 
 
-def _flip(tiles, idx):
-    """Flip tile idx across the gray triangle it spans with tile idx-1.
+def _flip(snake, idx):
+    """Flip the snake's tile idx to the third tile of the gray triangle it
+    spans with tile idx-1.
 
     Returns (new tiles, white vertex swept).  The segment into the flipped
     tile must run clockwise so that the basis change is the positive branch
     of the orientation rule.
     """
-    m, i, j = _segment_frame(tiles[idx - 1], tiles[idx])
-    if (i, j) not in _CLOCKWISE:
+    tiles = snake.tiles
+    new, clockwise = snake._frames[idx - 1]
+    if not clockwise:
         raise BadSegment(
             f"segment {tiles[idx - 1]} -> {tiles[idx]} must be clockwise to flip"
         )
-    k = 3 - i - j
-    new = tuple(m[x] + (1 if x == k else 0) for x in range(3))
     white = tuple(max(a, b) for a, b in zip(tiles[idx], new))
     return tiles[:idx] + (new,) + tiles[idx + 1 :], white
 
@@ -249,7 +248,7 @@ def move_one(snake):
     n = snake.n
     if n < 2:
         raise BadSegment("move I needs at least two tiles")
-    tiles, _ = _flip(snake.tiles, n - 1)
+    tiles, _ = _flip(snake, n - 1)
     return Snake(tiles), elem_l(n, n - 1)
 
 
@@ -264,7 +263,7 @@ def move_two(snake, k, z):
     n = snake.n
     if not 1 <= k <= n - 2:
         raise IndexOutOfRange(f"move II needs 1 <= k <= {n - 2}, got {k}")
-    tiles, white = _flip(snake.tiles, k)
+    tiles, white = _flip(snake, k)
     new = Snake(tiles)
     matrix = mat_mul(elem_l(n, k), elem_h(n, k + 1, z))
     return new, matrix, white
@@ -284,9 +283,9 @@ def snake_basis(config, snake, first=None):
     stored line itself.
 
     The lines b and c are read as the integer generators the config cleared
-    at construction, and each segment's gray corner and axes as the snake
-    found them when it checked the segment.  A given ``first`` must span the
-    stored first line, compared projectively.
+    at construction, and each segment's third tile c and direction as the
+    snake found them when it checked the segment.  A given ``first`` must
+    span the stored first line, compared projectively.
     """
     if config.n != snake.n:
         raise BadSegment(f"snake for n={snake.n} but config has n={config.n}")
@@ -301,11 +300,9 @@ def snake_basis(config, snake, first=None):
         if _canonical(vec) != (_canonical(g0) if any(g0) else None):
             raise DegenerateConfiguration("first vector not on the snake's first line")
         rows = [tuple(Fraction(x, den) for x in vec)]
-    for a, b, (m, i, j) in zip(tiles, tiles[1:], snake._frames):
-        k = 3 - i - j
-        gamma = tuple(m[x] + (1 if x == k else 0) for x in range(3))
-        u, w = config._line(b)[0], config._line(gamma)[0]
-        rhs = [-x for x in vec] if (i, j) in _CLOCKWISE else vec
+    for a, b, (c, clockwise) in zip(tiles, tiles[1:], snake._frames):
+        u, w = config._line(b)[0], config._line(c)[0]
+        rhs = [-x for x in vec] if clockwise else vec
         pairs = combinations(range(len(u)), 2)
         s, t = next(((s, t) for s, t in pairs if u[s] * w[t] != u[t] * w[s]), (0, 0))
         d = u[s] * w[t] - u[t] * w[s]
@@ -325,6 +322,9 @@ def snake_basis(config, snake, first=None):
 
 
 def _rotate_key(key, times):
+    """The lattice point (a, b, c) after ``times`` turns (a, b, c) -> (c, a, b),
+    the triangle's one rotation: a turn takes side 12 to 23, 23 to 31 and 31
+    to 12, position by position."""
     a, b, c = key
     for _ in range(times % 3):
         a, b, c = c, a, b
@@ -363,13 +363,9 @@ def transport_word(n, which):
 
 
 def side_vertices(n):
-    """All side (non-corner, boundary) lattice vertices, sum n."""
-    out = []
-    for k in range(1, n):
-        out.append((n - k, k, 0))
-        out.append((0, n - k, k))
-        out.append((k, 0, n - k))
-    return out
+    """All side (non-corner, boundary) lattice vertices, sum n: for each k the
+    vertex (n-k, k, 0) of side 12 and its rotations onto sides 23 and 31."""
+    return [_rotate_key((n - k, k, 0), side) for k in range(1, n) for side in range(3)]
 
 
 @dataclass(frozen=True)

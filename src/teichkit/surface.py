@@ -24,7 +24,7 @@ from .encode import SCHEMA, _json_list, check_schema, decoding
 from .errors import DomainError
 from .flags import interior_vertices
 from .halfplane import exact_sqrt
-from .snakes import FGAssignment, _evaluate
+from .snakes import FGAssignment, _evaluate, _rotate_key
 
 
 class UnknownTriangle(DomainError):
@@ -58,17 +58,14 @@ def side_vertex(n, side, k):
     """Lattice vertex at position k (1..n-1) along a side, in side order.
 
     Side "12" runs from corner (n,0,0) to (0,n,0), "23" from (0,n,0) to
-    (0,0,n), "31" from (0,0,n) back to (n,0,0).
+    (0,0,n), "31" from (0,0,n) back to (n,0,0): sides 23 and 31 are side 12
+    rotated once and twice.
     """
     if side not in SIDES:
         raise UnknownSide(f"side must be one of {SIDES}, got {side!r}")
     if not 1 <= k <= n - 1:
         raise UnknownSide(f"side position must be in 1..{n - 1}, got {k}")
-    if side == "12":
-        return (n - k, k, 0)
-    if side == "23":
-        return (0, n - k, k)
-    return (k, 0, n - k)
+    return _rotate_key((n - k, k, 0), SIDES.index(side))
 
 
 def _norm_end(end):

@@ -482,6 +482,15 @@ def test_product_of_fractions_with_identity_and_zero_factors():
         assert typed((n * turn_left()).entries()) == typed(four_term(n, turn_left()))
 
 
+def test_product_with_a_scalar_is_a_type_error():
+    # a Mat2 multiplies Mat2s only; a scalar multiple is not a product here
+    m = Mat2(F(1), F(2), F(3), F(4))
+    with pytest.raises(TypeError):
+        m * 3
+    with pytest.raises(TypeError):
+        3 * m
+
+
 @pytest.mark.parametrize("kind", ["fraction", "int", "float"])
 def test_mobius_compose_is_the_four_term_product(kind):
     rng = random.Random(f"compose-{kind}")

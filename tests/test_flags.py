@@ -466,6 +466,10 @@ class TestSplitting:
         s = two_flag_splitting(Flag([(7,)]), Flag([(-2,)]))
         assert s == ((1,),)
 
+    def test_flags_of_different_ranks(self):
+        with pytest.raises(DimensionMismatch, match="^flags live in different dimensions$"):
+            two_flag_splitting(standard_flag(2), standard_flag(3))
+
 
 class TestProjectiveBasis:
     def test_standard(self):
@@ -509,6 +513,15 @@ class TestProjectiveBasis:
     def test_lines_of_different_lengths_are_refused(self, lines):
         # zipping the lines would drop the extra entry or keep a ragged basis
         with pytest.raises(DimensionMismatch, match="different dimensions"):
+            projective_basis_vectors(lines, (1, 1))
+
+    @pytest.mark.parametrize("lines, message", [
+        ([], "no lines given"),
+        ([(1, 0), (0, 1)], "need 3 lines in dimension 2, got 2"),
+        ([(1, 0), (0, 1), (1, 1), (1, 2)], "need 3 lines in dimension 2, got 4"),
+    ], ids=["none", "too-few", "too-many"])
+    def test_line_count_is_checked(self, lines, message):
+        with pytest.raises(NotProjectiveBasis, match=f"^{message}$"):
             projective_basis_vectors(lines, (1, 1))
 
     def test_pinning_recovery(self):

@@ -53,6 +53,11 @@ def test_scalar_sqrt_past_the_float_range_is_a_domain_error():
         scalar_sqrt(F(10**400 + 1))
 
 
+def test_scalar_sqrt_of_a_negative_rational_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"^negative radicand -4\.0$"):
+        scalar_sqrt(F(-4))
+
+
 def test_apply_is_exact_on_rationals():
     m = MobiusMap(1, 2, 3, 7)
     z = m.apply(F(1, 2))
@@ -126,6 +131,7 @@ def test_parabolic_and_elliptic_fixed_points():
     p = parabolic_stabilizer(F(2), F(1, 3))
     assert classify(p) is MapClass.PARABOLIC
     assert fixed_points(p) == (F(2),)
+    assert fixed_points(MobiusMap(1, 1, 0, 1)) == (INFINITY,)
     rot = MobiusMap(1, 1, -1, 0)
     assert classify(rot) is MapClass.ELLIPTIC
     (z,) = fixed_points(rot)
@@ -182,6 +188,10 @@ def test_distance_invariance_and_symmetry():
         assert distance(mp, mq) == pytest.approx(dp, abs=1e-12)
 
 
+def test_distance_from_a_point_to_itself_is_zero():
+    assert distance(2 + 3j, 2 + 3j) == 0.0
+
+
 def test_distance_on_vertical_is_log_ratio():
     assert distance(1j, 9j) == pytest.approx(math.log(9), abs=1e-12)
     with pytest.raises(NotInsideHalfPlane):
@@ -232,6 +242,7 @@ def test_common_perpendicular_vertical_arc():
     g = common_perpendicular(Vertical(F(-3)), Arc(F(5, 6), F(5, 6)))
     assert isinstance(g, Arc) and g.center == F(-3)
     assert g.radius == pytest.approx(math.sqrt(14), abs=1e-12)
+    assert common_perpendicular(Arc(F(5, 6), F(5, 6)), Vertical(F(-3))) == g
 
 
 def test_common_perpendicular_orthogonality_certificate():
@@ -252,8 +263,11 @@ def test_common_perpendicular_rejects_crossing_or_asymptotic():
         common_perpendicular(Vertical(F(0)), Arc(F(0), F(1)))
     with pytest.raises(NotDisjoint):
         common_perpendicular(Vertical(F(1)), Arc(F(0), F(1)))
-    with pytest.raises(NotDisjoint):
+    # two verticals meet at infinity, a shared endpoint
+    with pytest.raises(NotDisjoint, match="^geodesics share a boundary endpoint$"):
         common_perpendicular(Vertical(F(0)), Vertical(F(1)))
+    with pytest.raises(NotDisjoint, match="^geodesics intersect$"):
+        common_perpendicular(Arc(F(0), F(2)), Arc(F(2), F(2)))
 
 
 def test_horocycle_at_fixed_point_is_preserved_exactly():

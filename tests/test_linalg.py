@@ -244,6 +244,12 @@ def test_solve_returns_one_solution_or_none():
     assert x == (Q(1, 2), 0, 2) and all(type(v) is Q for v in x)
 
 
+def test_empty_product_needs_a_dimension():
+    with pytest.raises(linalg.LinAlgError, match="^empty product needs a dimension$"):
+        linalg.mat_prod([])
+    assert linalg.mat_prod([], 2) == ((1, 0), (0, 1)) == linalg.identity(2)
+
+
 RAGGED = [[[1, 2], [2, 4, 5]], [[1, 2, 3], [2, 4]], [[0, 0], [1]], [[Q(1, 2)], [1, 2]]]
 
 

@@ -217,6 +217,11 @@ def test_polygon_path_walks_geodesic_sides():
     assert "L 600.000 0.000 L 440.000 0.000 L 440.000 440.000 Z" in svg
 
 
+def test_polygon_vertical_side_is_a_straight_line():
+    svg = render_svg(Scene((polygon([(0, 1), (0, 2), (1, 1)]),)))
+    assert 'd="M 440.000 360.000 L 440.000 280.000 A ' in svg
+
+
 def test_polygon_starting_at_ideal_vertex_renders():
     svg = render_svg(Scene((polygon([INFINITY, (0, 0), (2, 0)]),)))
     assert "<path" in svg and " Z" in svg

@@ -246,8 +246,9 @@ class TestMoves:
     def test_move_one_needs_clockwise(self):
         s, _ = move_one(boundary_snake_12(3))
         # the flipped segment is now counterclockwise; flipping again fails
-        with pytest.raises(BadSegment):
+        with pytest.raises(BadSegment) as refused:
             move_one(s)
+        assert str(refused.value) == "segment (1, 1, 0) -> (0, 1, 1) must be clockwise to flip"
 
     def test_move_two_white_vertex(self):
         s, _ = move_one(boundary_snake_12(3))

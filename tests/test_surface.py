@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from teichkit.errors import DomainError, SchemaError
 from teichkit.fatgraph import four_holed_sphere, fricke_value, trace_coordinates
 from teichkit.flags import interior_vertices
 from teichkit.laurent import LaurentRing
-from teichkit.linalg import adjugate, is_scalar_matrix, mat_mul, mat_prod, mat_scale, proj_eq
+from teichkit.linalg import adjugate, det, is_scalar_matrix, mat_mul, mat_prod, mat_scale, proj_eq
 from teichkit.snakes import FGAssignment, elem_s, side_vertices, transport
 from teichkit.surface import (
     S_TOKEN,
@@ -262,6 +263,16 @@ class TestSideVertex:
         with pytest.raises(UnknownSide):
             side_vertex(3, "12", 3)
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_sides_are_the_definition(self, n):
+        # side 12 at position k is (n-k, k, 0); sides 23 and 31 are it rotated
+        # once and twice, and side_vertices lists the three per k
+        sides = {"12": lambda k: (n - k, k, 0), "23": lambda k: (0, n - k, k),
+                 "31": lambda k: (k, 0, n - k)}
+        for side, at in sides.items():
+            assert [side_vertex(n, side, k) for k in range(1, n)] == [at(k) for k in range(1, n)]
+        assert side_vertices(n) == [at(k) for k in range(1, n) for at in sides.values()]
+
 
 class TestSurface:
     def test_partner_and_open_sides(self):
@@ -340,6 +351,25 @@ class TestSurface:
         with pytest.raises(SchemaError):
             TriangulatedSurface.from_json({"schema": SCHEMA, "kind": "surf"})
 
+    def test_assignment_by_id(self):
+        surf, _ = two_triangle(2, random.Random(15))
+        assert surf.assignment("L") is surf.triangles["L"]
+
+    @pytest.mark.parametrize("call", [
+        lambda s: s.assignment("Z"),
+        lambda s: s.glued_partner("Z", "12"),
+        lambda s: s.with_value("Z", (1, 1, 0), Fraction(2)),
+    ], ids=["assignment", "glued_partner", "with_value"])
+    def test_unknown_triangle_is_refused(self, call):
+        surf, _ = two_triangle(2, random.Random(16))
+        with pytest.raises(UnknownTriangle, match="^no triangle 'Z'$"):
+            call(surf)
+
+    def test_bad_side_in_gluing(self):
+        L = rand_assignment(2, random.Random(17))
+        with pytest.raises(UnknownSide, match="side must be one of"):
+            TriangulatedSurface({"L": L}, [(("L", "12"), ("L", "13"))])
+
 
 class TestPathWord:
     def test_alternation_enforced(self):
@@ -367,6 +397,12 @@ class TestPathWord:
         assert w.inverse().tokens == (
             ("T", "b", 2, False), ("S",), ("T", "a", 1, True), ("S",)
         )
+
+    def test_repr_and_triangles(self):
+        w = TrianglePathWord(["S", t_token("b", 1), "S", t_token("a", 2, True)], sign=-1)
+        assert repr(w) == "-S.T1(b).S.T2(a)'"
+        assert repr(w.inverse()) == "-T2(a).S.T1(b)'.S"
+        assert w.triangles() == ("a", "b")
 
     def test_json_round_trip(self):
         w = TrianglePathWord([t_token("a", 3, True), "S"], sign=-1)
@@ -634,6 +670,27 @@ class TestFourHoledSphere:
             for k in ("loop2", "loop3", "loop4"):
                 prod = mat_mul(prod, path_matrix(surf, words[k]))
             assert is_scalar_matrix(prod) is not None
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_loop1_spectrum_is_the_layer_products(self, n, seed):
+        # loop1 goes once round the hole at r's corner (n, 0, 0), whose sides
+        # 12 and 31 are glued to each other.  Its eigenvalues are lambda_k =
+        # lambda P_1 ... P_k for k = 0..n-1, P_a the product of r's values on
+        # the layer of first coordinate a: each eigenvalue is the one before
+        # times the next layer's product.  The characteristic polynomial is
+        # compared at n + 1 points, so multiplicities count too.
+        rng = random.Random(1000 * n + seed)
+        assignments = {k: rand_assignment(n, rng) for k in ("l", "r", "d", "c")}
+        surf, words = four_holed_sphere_fg(n, assignments)
+        m = path_matrix(surf, words["loop1"])
+        r = assignments["r"].values
+        layers = [prod(v for key, v in r.items() if key[0] == a) for a in range(1, n)]
+        ratios = [prod(layers[:k]) for k in range(n)]
+        lam = sum(m[i][i] for i in range(n)) / sum(ratios)
+        for x in (Fraction(2 * t + 1, 3) for t in range(n + 1)):
+            char = det([[x * (i == j) - m[i][j] for j in range(n)] for i in range(n)])
+            assert char == prod(x - lam * q for q in ratios)
 
 
 class TestUnamalgamate:
